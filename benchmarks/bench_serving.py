@@ -70,7 +70,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--tuples", type=int, default=100_000)
     parser.add_argument("--batch-size", type=int, default=4096)
     parser.add_argument("--clients", type=int, default=50)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--num-bitmaps", type=int, default=16)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--source", default="profile:skewed")
@@ -131,7 +130,6 @@ def spawn_service(
         "--batch-size", str(args.batch_size),
         "--num-bitmaps", str(args.num_bitmaps),
         "--seed", str(args.seed),
-        "--workers", str(args.workers),
         "--checkpoint-dir", str(ckdir),
         "--profiles", ",".join(PROFILES),
         "--frontend", args.frontend,
@@ -317,11 +315,11 @@ def load_stream(args):
         args.source, seed=args.seed, batch_size=args.batch_size,
         tuples=args.tuples,
     )
-    lhs_parts, rhs_parts, index = [], [], 0
-    while (batch := source.batch(index)) is not None:
+    lhs_parts, rhs_parts, cursor = [], [], 0
+    while (batch := source.batch(cursor)) is not None:
         lhs_parts.append(batch[0])
         rhs_parts.append(batch[1])
-        index += 1
+        cursor += len(batch[0])
     import numpy as np
 
     return np.concatenate(lhs_parts), np.concatenate(rhs_parts)
@@ -330,18 +328,13 @@ def load_stream(args):
 def reference_digest(args, lhs, rhs) -> str:
     from repro.core.estimator import ImplicationCountEstimator
     from repro.core.serialize import estimator_state_digest
-    from repro.engine import shutdown_runtime
     from repro.serving.service import default_profiles, offline_reference
 
     conditions = default_profiles()[PROFILES[0]]
     template = ImplicationCountEstimator(
         conditions, num_bitmaps=args.num_bitmaps, seed=args.seed
     )
-    reference = offline_reference(
-        template, lhs, rhs, batch_size=args.batch_size, workers=args.workers
-    )
-    shutdown_runtime()
-    return estimator_state_digest(reference)
+    return estimator_state_digest(offline_reference(template, lhs, rhs))
 
 
 def run_verify_leg(args, final: dict) -> bool:
@@ -550,7 +543,6 @@ def main(argv: list[str] | None = None) -> int:
         "serving_window_seconds": round(load["window_seconds"], 2),
         "serving_tuples": float(args.tuples),
         "serving_batch_size": float(args.batch_size),
-        "serving_workers": float(args.workers),
         "serving_pace_tps": round(
             args.pace_tps or args.tuples / (3.0 * args.load_seconds), 2
         ),

@@ -8,8 +8,8 @@ Examples::
     repro-experiments ablation-fringe
     repro-experiments verify --seed 7 --iterations 50
     repro-experiments verify --replay batch-scalar-replay-seed7.json
-    repro-experiments checkpoint --checkpoint-dir ckpt --every 2 --workers 4
-    repro-experiments resume --checkpoint-dir ckpt --every 2 --workers 4
+    repro-experiments checkpoint --checkpoint-dir ckpt --every 2
+    repro-experiments resume --checkpoint-dir ckpt --every 2
     repro-experiments serve --source profile:uniform --port 8080
     REPRO_SCALE=medium repro-experiments figure5
 
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "which paper artifact (or ablation) to regenerate; "
             "'verify' runs the differential harness and 'checkpoint'/"
-            "'resume' run durable sharded ingests (see "
+            "'resume' run durable checkpointed ingests (see "
             "'repro-experiments verify --help' / "
             "'repro-experiments checkpoint --help')"
         ),

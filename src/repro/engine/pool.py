@@ -2,17 +2,17 @@
 
 The fix for the sharded-scaling inversion.  The original engine forked a
 fresh ``multiprocessing.Pool`` on *every* ``ingest_payloads`` call — once
-per 8192-tuple chunk on the checkpointed path — and every job pickled its
-full shard arrays plus a freshly serialized template payload through the
-pool's task queue.  Dispatch cost was per-*pool*, which dominated the
+per chunk on a chunked ingest — and every job pickled its full shard
+arrays plus a freshly serialized template payload through the pool's
+task queue.  Dispatch cost was per-*pool*, which dominated the
 ingest itself and made two workers slower than one.  This module makes
 dispatch cost per-*batch*, the amortization the paper's folding model
 (Section 1: nodes ship sketches, never tuples) takes for granted:
 
 * **Persistent workers** (:class:`WorkerRuntime`) — a lazily started,
-  process-global pool that survives across ``ingest_payloads`` calls and
-  across checkpointed chunks.  Dead or hung workers are killed and
-  respawned without tearing the pool down.
+  process-global pool that survives across ``ingest_payloads`` calls.
+  Dead or hung workers are killed and respawned without tearing the pool
+  down.
 * **Pickle-free shard transport** — the stream is published once per
   ingest epoch as a :class:`SharedMemorySegment`
   (``multiprocessing.shared_memory``); shard jobs carry only

@@ -11,8 +11,7 @@ their state back through the versioned wire format
 
 Execution goes through the persistent worker runtime
 (:mod:`repro.engine.pool`): workers are spawned once and reused across
-``ingest_payloads`` calls and checkpointed chunks, the stream is
-published once per ingest epoch (shared memory, with fork-inherited and
+``ingest_payloads`` calls, the stream is published once per ingest epoch (shared memory, with fork-inherited and
 inline fallbacks) so shard jobs carry only ``(offset, length)`` spans,
 and sibling templates ship to each worker at most once per geometry.
 Results are collected as workers finish but merged in shard order, so
@@ -144,10 +143,7 @@ class _IngestSession:
     """One ingest epoch: the stream, the template, and a lazy segment.
 
     Publication is deferred until a pooled round actually happens, so a
-    serial ingest (one shard, tiny chunk, pool disabled) never touches
-    shared memory.  ``ingest_checkpointed`` holds one session across all
-    of its chunks — that is what makes the per-chunk dispatch cost
-    *per-span* instead of per-pool-fork.
+    serial ingest (one shard, pool disabled) never touches shared memory.
     """
 
     def __init__(
@@ -270,133 +266,6 @@ class ShardedIngestor:
         merged = self.template.spawn_sibling()
         for _, payload in self.ingest_payloads(lhs, rhs):
             merged.merge(ImplicationCountEstimator.from_bytes(payload))
-        return merged
-
-    def ingest_checkpointed(
-        self,
-        lhs: np.ndarray,
-        rhs: np.ndarray,
-        *,
-        manager,
-        chunk_size: int = 8192,
-        every: int = 1,
-    ) -> ImplicationCountEstimator:
-        """Chunked ingest with durable checkpoints — and the resume path.
-
-        The stream is cut into fixed ``chunk_size`` chunks at *absolute*
-        boundaries (multiples of ``chunk_size`` from tuple zero); each
-        chunk is one sharded ingest round merged into an accumulator, and
-        after every ``every`` chunks (and at end-of-stream) the accumulator
-        is committed to ``manager`` (:class:`repro.recovery.checkpoint
-        .CheckpointManager`) together with the stream cursor.
-
-        The whole run is one ingest epoch: the stream is published to the
-        worker runtime once (and the sibling template shipped to each
-        worker once), with every chunk's shard jobs addressing it by
-        ``(offset, length)`` — per-chunk dispatch is a handful of tiny
-        pipe messages, not a pool fork.
-
-        Calling this again over the same stream and checkpoint directory
-        *is* the resume path: the latest valid generation is restored
-        (torn or corrupt generations fall back automatically), and only
-        the suffix from the recorded cursor is replayed.  Because chunk
-        boundaries are absolute and every chunk's shard split is
-        deterministic, the merge structure of a resumed run is identical
-        to an uninterrupted one — the final state is bit-for-bit equal in
-        the :func:`repro.core.serialize.estimator_state_digest` sense, for
-        every condition profile (unlike shard-merge vs single-pass, no
-        theta scope is needed: both sides here run the *same* pipeline).
-
-        Ingest parameters that shape the merge structure (``chunk_size``,
-        ``workers``) are recorded in each manifest and enforced on resume —
-        resuming with different values would silently produce a
-        differently-shaped (though still valid) merge, which is exactly the
-        kind of drift the digest contract exists to forbid.  ``every`` only
-        changes checkpoint cadence, not results, so it may differ.  The
-        manifest also records ``aggregate``/``grouped``, always ``False``:
-        checkpoints written by the removed order-compressing batch path
-        recorded ``True`` there and are refused, since exact replay cannot
-        continue their state bit-for-bit.
-
-        The failed-shard retry path composes with checkpoints: a shard
-        retried inside chunk ``i`` yields the identical chunk estimator,
-        so the checkpoint at the next boundary is byte-identical whether
-        or not a worker died — retries never fork the checkpoint lineage.
-        """
-        from ..recovery import crash
-
-        lhs, rhs = self._validated(lhs, rhs)
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        shape = {
-            "kind": "sharded-checkpointed",
-            "chunk_size": chunk_size,
-            "workers": self.workers,
-            "aggregate": False,
-            "grouped": False,
-        }
-        registry = obs.get_registry()
-        restored = manager.load_latest(template=self.template)
-        if restored is not None:
-            recorded = {
-                key: restored.manifest["extra"].get(key) for key in shape
-            }
-            if recorded["aggregate"] or recorded["grouped"]:
-                raise ValueError(
-                    f"checkpoint {restored.generation} was written by the "
-                    f"removed pair-aggregation/grouped-dispatch batch path "
-                    f"(aggregate={recorded['aggregate']}, "
-                    f"grouped={recorded['grouped']}); exact batch replay "
-                    f"cannot continue that state bit-for-bit — re-ingest the "
-                    f"stream into an empty checkpoint directory"
-                )
-            if recorded != shape:
-                raise ValueError(
-                    f"checkpoint {restored.generation} was written by an "
-                    f"ingest shaped {recorded}, cannot resume with {shape} — "
-                    f"the merge structure (and therefore the state digest) "
-                    f"would diverge from the uninterrupted run"
-                )
-            if restored.cursor > len(lhs):
-                raise ValueError(
-                    f"checkpoint cursor {restored.cursor} is beyond the "
-                    f"{len(lhs)}-tuple stream — wrong stream or wrong "
-                    f"checkpoint directory"
-                )
-            merged = restored.estimator
-            cursor = restored.cursor
-            registry.counter("recovery.resumed_ingests").add(1)
-            registry.counter("recovery.tuples_skipped").add(cursor)
-        else:
-            merged = self.template.spawn_sibling()
-            cursor = 0
-        if len(lhs) == 0:
-            return merged
-
-        session = _IngestSession(self.template, lhs, rhs)
-        try:
-            chunks_since_save = 0
-            while cursor < len(lhs):
-                chunk_index = cursor // chunk_size
-                end = min((chunk_index + 1) * chunk_size, len(lhs))
-                for _, payload in self._ingest_span(session, cursor, end):
-                    merged.merge(ImplicationCountEstimator.from_bytes(payload))
-                cursor = end
-                registry.counter("engine.chunks_ingested").add(1)
-                crash.maybe_crash(f"chunk:{chunk_index}")
-                chunks_since_save += 1
-                if chunks_since_save >= every or cursor == len(lhs):
-                    manager.save(
-                        merged,
-                        cursor=cursor,
-                        epoch={"chunk_index": chunk_index},
-                        extra=shape,
-                    )
-                    chunks_since_save = 0
-        finally:
-            session.close()
         return merged
 
     # ------------------------------------------------------------------ #

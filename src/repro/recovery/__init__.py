@@ -9,6 +9,8 @@ accumulated NIPS/CI state crash-proof:
   loading;
 * :mod:`repro.recovery.crash` — named SIGKILL injection points inside the
   save protocol and ingest loop;
+* :mod:`repro.recovery.ingest` — checkpointed ingest: one resident
+  estimator advanced chunk by chunk, resumable from any generation;
 * :mod:`repro.recovery.runner` — deterministic checkpointed runs shared by
   the CLI (``repro-experiments checkpoint`` / ``resume``) and tests;
 * :mod:`repro.recovery.harness` — the crash-injection driver that kills a
@@ -18,6 +20,7 @@ accumulated NIPS/CI state crash-proof:
 
 from .checkpoint import CheckpointManager, RestoredCheckpoint
 from .harness import CrashInjectionHarness, CrashOutcome, CrashReport
+from .ingest import ingest_checkpointed
 from .runner import RunConfig, run_checkpointed
 
 __all__ = [
@@ -27,5 +30,6 @@ __all__ = [
     "CrashOutcome",
     "CrashReport",
     "RunConfig",
+    "ingest_checkpointed",
     "run_checkpointed",
 ]

@@ -66,7 +66,20 @@ from ..core.serialize import (
 from ..observability import metrics as obs
 from . import crash
 
-__all__ = ["CheckpointManager", "RestoredCheckpoint"]
+__all__ = [
+    "CheckpointManager",
+    "RESIDENT_STATE",
+    "RestoredCheckpoint",
+    "check_resume_shape",
+]
+
+#: ``extra["state"]`` of every checkpoint whose payload is one resident
+#: estimator advanced in place by ``update_batch`` — a plain single pass
+#: over the stream prefix.  Checkpointed ingest and the serving loop both
+#: record it.  Checkpoints written by the per-batch merge chain (and by
+#: every older ingest path) lack it: their state is not a single pass, so
+#: continuing it would never reach the uninterrupted digest.
+RESIDENT_STATE = "resident-single-pass"
 
 _MANIFEST_SUFFIX = ".manifest.json"
 _PAYLOAD_SUFFIX = ".payload"
@@ -103,6 +116,32 @@ class RestoredCheckpoint:
     #: ``(generation, reason)`` for every newer generation that failed
     #: validation and was skipped on the way to this one.
     skipped: list[tuple[int, str]] = field(default_factory=list)
+
+
+def check_resume_shape(restored: RestoredCheckpoint, shape: dict) -> None:
+    """Refuse to resume a run shaped ``shape`` from ``restored``.
+
+    ``shape`` is the resuming run's identity, recorded as the manifest's
+    ``extra`` by every save; it carries ``"state": RESIDENT_STATE``.  A
+    manifest without that constant was written by the per-batch merge
+    chain and is refused by name; any other difference means a different
+    stream or estimator set.
+    """
+    recorded = {key: restored.manifest["extra"].get(key) for key in shape}
+    if recorded.get("state") != RESIDENT_STATE:
+        raise ValueError(
+            f"checkpoint generation {restored.generation} was written by the "
+            f"per-batch merge chain (or an older ingest path), not by a "
+            f"resident single pass, so resuming it cannot reach the "
+            f"uninterrupted digest — start again from an empty checkpoint "
+            f"directory"
+        )
+    if recorded != shape:
+        raise ValueError(
+            f"checkpoint generation {restored.generation} was written by a "
+            f"run shaped {recorded}, cannot resume with {shape} — it covers "
+            f"a different stream or estimator set"
+        )
 
 
 class CheckpointManager:

@@ -17,10 +17,10 @@ generation/cursor, skipped generations, generations on disk — which is
 the machine interface the crash-injection harness asserts on::
 
     repro-experiments checkpoint --checkpoint-dir /tmp/ckpt --tuples 100000 \\
-        --chunk-size 8192 --every 2 --workers 4
+        --chunk-size 8192 --every 2
     # ... SIGKILL anywhere ...
     repro-experiments resume --checkpoint-dir /tmp/ckpt --tuples 100000 \\
-        --chunk-size 8192 --every 2 --workers 4
+        --chunk-size 8192 --every 2
 """
 
 from __future__ import annotations
@@ -70,12 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=20_000,
         help="stream length (default: 20000)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shards per chunk (default: 1 = serial)",
-    )
     parser.add_argument("--seed", type=int, default=0, help="stream/hash seed")
     parser.add_argument(
         "--profile",
@@ -115,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write run observability metrics (checkpoint latency/bytes, "
-        "recovery fallbacks, shard retries) as JSON to PATH",
+        "recovery fallbacks, chunks ingested) as JSON to PATH",
     )
     return parser
 
@@ -126,7 +120,6 @@ def main(argv: list[str] | None = None) -> int:
         ("--tuples", args.tuples, 1),
         ("--chunk-size", args.chunk_size, 1),
         ("--every", args.every, 1),
-        ("--workers", args.workers, 1),
         ("--keep", args.keep, 2),
     ):
         if value < minimum:
@@ -138,7 +131,6 @@ def main(argv: list[str] | None = None) -> int:
         tuples=args.tuples,
         chunk_size=args.chunk_size,
         every=args.every,
-        workers=args.workers,
         seed=args.seed,
         profile=args.profile,
         min_support=args.min_support,

@@ -10,7 +10,7 @@ instruction boundary.
 The checkpoint writer and the chunked ingest loop call
 :func:`maybe_crash` at every interesting point of their protocols
 (mid-payload-write, between the payload and manifest renames, right after
-a chunk merge, ...).  In normal operation the calls are a single ``dict``
+a chunk ingest, ...).  In normal operation the calls are a single ``dict``
 lookup against a cached environment value; in a crash-injection run the
 driver (:mod:`repro.recovery.harness`) sets ``REPRO_CRASH_POINT`` to one
 point name in the child process's environment and the child genuinely
@@ -24,9 +24,9 @@ Point names are structured strings:
     committed, manifest not — the classic torn-update window),
     ``manifest-mid-write``, ``manifest-pre-rename`` and ``post-commit``.
 ``chunk:<I>``
-    In the chunked ingest loop, after chunk ``I`` has been merged into the
-    accumulator but before the checkpoint decision — progress that dies
-    un-checkpointed and must be replayed.
+    In the chunked ingest loop, after chunk ``I`` has been ingested into
+    the resident estimator but before the checkpoint decision — progress
+    that dies un-checkpointed and must be replayed.
 """
 
 from __future__ import annotations

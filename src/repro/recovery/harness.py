@@ -9,7 +9,7 @@ operational too:
    (``python -m repro.cli checkpoint ...``) with one crash point armed via
    ``REPRO_CRASH_POINT`` (:mod:`repro.recovery.crash`).  The child
    SIGKILLs itself at that exact protocol window — mid-payload-write,
-   between the payload and manifest renames, right after a chunk merge —
+   between the payload and manifest renames, right after a chunk ingest —
    with no cleanup of any kind.  The harness asserts the child really
    died by SIGKILL (a point that silently never fired would make the
    whole experiment vacuous).
@@ -129,7 +129,7 @@ class CrashInjectionHarness:
         """Every reachable crash point of the configured run.
 
         Chunk points exist for every chunk except the last (a kill after
-        the final chunk's merge *but before its checkpoint* still loses no
+        the final chunk's ingest *but before its checkpoint* still loses no
         committed state — but the subprocess would exit 0 on the very last
         ``post-commit``-adjacent windows; to keep the killed-by-SIGKILL
         assertion crisp, only points that fire strictly before the run's
@@ -292,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - thin CLI
     args = list(sys.argv[1:] if argv is None else argv)
     points = int(args[0]) if args else 10
     seed = int(args[1]) if len(args) > 1 else 0
-    config = RunConfig(tuples=4000, chunk_size=500, num_bitmaps=8, workers=2)
+    config = RunConfig(tuples=4000, chunk_size=500, num_bitmaps=8)
     harness = CrashInjectionHarness(config, workdir="crash-artifacts")
     report = harness.run(points=points, seed=seed)
     print(harness.describe(report))

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from ..core.conditions import ImplicationConditions
 from ..core.estimator import ImplicationCountEstimator
 from ..core.serialize import estimator_state_digest
-from ..engine.sharded import ShardedIngestor
 from ..observability import metrics as obs
 from ..verify.streams import generate_stream
 from .checkpoint import CheckpointManager
+from .ingest import ingest_checkpointed
 
 __all__ = ["RunConfig", "run_checkpointed"]
 
@@ -35,7 +35,6 @@ class RunConfig:
     tuples: int = 20_000
     chunk_size: int = 4096
     every: int = 1
-    workers: int = 1
     seed: int = 0
     profile: str = "uniform"
     min_support: int = 2
@@ -43,7 +42,6 @@ class RunConfig:
     max_multiplicity: int | None = None
     num_bitmaps: int = 16
     keep: int = 3
-    job_timeout: float | None = None
 
     def conditions(self) -> ImplicationConditions:
         return ImplicationConditions(
@@ -61,11 +59,6 @@ class RunConfig:
     def stream(self):
         return generate_stream(self.profile, seed=self.seed, size=self.tuples)
 
-    def ingestor(self) -> ShardedIngestor:
-        return ShardedIngestor(
-            self.template(), workers=self.workers, job_timeout=self.job_timeout
-        )
-
     @property
     def chunk_count(self) -> int:
         return -(-self.tuples // self.chunk_size)
@@ -78,7 +71,6 @@ class RunConfig:
             "--tuples", str(self.tuples),
             "--chunk-size", str(self.chunk_size),
             "--every", str(self.every),
-            "--workers", str(self.workers),
             "--seed", str(self.seed),
             "--profile", self.profile,
             "--min-support", str(self.min_support),
@@ -100,10 +92,10 @@ def run_checkpointed(config: RunConfig, checkpoint_dir: str) -> dict:
     machine interface the crash harness parses from the CLI's stdout.
     """
     manager = CheckpointManager(checkpoint_dir, keep=config.keep)
-    ingestor = config.ingestor()
+    template = config.template()
     # Probe what resume will see, for the report; ingest_checkpointed
     # re-loads (cheap at these sizes) and enforces shape compatibility.
-    probe = manager.load_latest(template=ingestor.template)
+    probe = manager.load_latest(template=template)
     restored_generation = probe.generation if probe is not None else None
     restored_cursor = probe.cursor if probe is not None else None
     skipped = list(manager.last_skipped)
@@ -112,7 +104,8 @@ def run_checkpointed(config: RunConfig, checkpoint_dir: str) -> dict:
         # timings accumulate over the logical ingest, not the process.
         obs.get_registry().merge_snapshot(probe.manifest["metrics"])
     lhs, rhs = config.stream()
-    merged = ingestor.ingest_checkpointed(
+    estimator = ingest_checkpointed(
+        template,
         lhs,
         rhs,
         manager=manager,
@@ -120,10 +113,10 @@ def run_checkpointed(config: RunConfig, checkpoint_dir: str) -> dict:
         every=config.every,
     )
     return {
-        "digest": estimator_state_digest(merged),
+        "digest": estimator_state_digest(estimator),
         "tuples": config.tuples,
         "cursor": config.tuples,
-        "tuples_seen": merged.tuples_seen,
+        "tuples_seen": estimator.tuples_seen,
         "profile": config.profile,
         "chunk_size": config.chunk_size,
         "chunks": config.chunk_count,

@@ -2,11 +2,10 @@
 
 The batch CLI paths run once and exit; this package keeps one process
 alive that continuously ingests from a pluggable stream source
-(:mod:`repro.serving.sources`), maintains one estimator per named
-condition profile through the sharded engine's persistent worker pool,
-and answers concurrent HTTP reads against *published snapshots* — never
-against the live accumulators — so queries cannot observe (or cause) a
-torn state (:mod:`repro.serving.service`).  Durability reuses the
+(:mod:`repro.serving.sources`), advances one resident estimator per
+named condition profile in place, and answers concurrent HTTP reads
+against *published snapshots* — never against the live estimators — so
+queries cannot observe (or cause) a torn state (:mod:`repro.serving.service`).  Durability reuses the
 recovery checkpoint format verbatim: every publish can commit a
 generation, and a SIGTERM'd service resumes to the bit-for-bit digest of
 an uninterrupted run (the ``serve-snapshot-equivalence`` contract in

@@ -69,6 +69,8 @@ class AsyncServingServer:
         self._stop: asyncio.Event | None = None
         self._finished = threading.Event()
         self._shutdown_requested = threading.Event()
+        #: Open connections (handler task -> its writer), loop-thread only.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle (ThreadingHTTPServer-shaped)
@@ -91,9 +93,28 @@ class AsyncServingServer:
         )
         async with server:
             await self._stop.wait()
-        # Returning from asyncio.run cancels the still-open keep-alive
-        # connection tasks — the graceful-stop path already committed at
-        # the batch boundary before the CLI gets here.
+            server.close()  # accept nothing new while open ones close
+            await self._close_connections()
+
+    async def _close_connections(self) -> None:
+        """Close every open connection so each handler returns by itself.
+
+        Idle keep-alive handlers park in ``readline``; closing their
+        transport feeds EOF and they exit normally.  Leaving them for
+        ``asyncio.run`` to cancel instead makes Python 3.11's
+        ``start_server`` done-callback call ``exception()`` on a cancelled
+        task, which prints a ``CancelledError`` traceback.  A handler
+        still stuck after the grace period (a peer not reading its
+        response) is aborted.
+        """
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            _, stuck = await asyncio.wait(list(self._connections), timeout=5.0)
+            for task in stuck:
+                self._connections[task].transport.abort()
+            if stuck:
+                await asyncio.wait(stuck, timeout=5.0)
 
     def shutdown(self) -> None:
         """Stop the loop from any thread; blocks until it has exited."""
@@ -119,6 +140,8 @@ class AsyncServingServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 keep_alive = await self._handle_request(reader, writer)
@@ -137,6 +160,7 @@ class AsyncServingServer:
             # not worth a traceback either, the peer is misbehaving.
             obs.get_registry().counter("serving.http.bad_requests").add(1)
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()

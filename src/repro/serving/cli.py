@@ -10,12 +10,11 @@ Wires the three long-lived pieces together in one process:
 Shutdown is graceful by construction: the signal only sets the event, the
 ingest loop finishes its in-flight batch, commits a final checkpoint
 generation at the batch boundary, flips status to ``stopped``, and only
-then is the worker pool torn down through ``engine.shutdown_runtime`` and
-the listener closed.  Because commits land on batch boundaries and the
-sources are randomly addressable, a service restarted against the same
-``--checkpoint-dir`` resumes to the bit-for-bit digest of an
-uninterrupted run (asserted end-to-end by ``benchmarks/bench_serving.py``
-and the CI serving smoke).
+then is the listener closed.  Because the checkpointed state is a single
+pass over the stream prefix and sources are addressed by tuple cursor, a
+service restarted against the same ``--checkpoint-dir`` resumes to the
+bit-for-bit digest of an uninterrupted run (asserted end-to-end by
+``benchmarks/bench_serving.py`` and the CI serving smoke).
 
 Two machine-readable JSON lines frame every run on stdout — ``listening``
 (with the actual bound port, for ``--port 0``) and ``stopped`` (with the
@@ -32,7 +31,6 @@ import signal
 import sys
 import threading
 
-from ..engine import shutdown_runtime
 from ..observability import metrics as obs
 from .http import build_server
 from .service import ImplicationService, ServeConfig
@@ -80,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="commit/publish cadence in batches",
     )
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--num-bitmaps", type=int, default=16)
     parser.add_argument(
         "--profiles",
@@ -109,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="bitmap generations per window (must divide --window)",
     )
-    parser.add_argument("--job-timeout", type=float, default=None)
     parser.add_argument(
         "--pace-tps",
         type=float,
@@ -137,12 +133,10 @@ def main(argv: list[str] | None = None) -> int:
         tuples=args.tuples,
         batch_size=args.batch_size,
         publish_every=args.publish_every,
-        workers=args.workers,
         num_bitmaps=args.num_bitmaps,
         profiles=profiles,
         keep=args.keep,
         kernels=args.kernels,
-        job_timeout=args.job_timeout,
         pace_tps=args.pace_tps,
         window=args.window,
         window_generations=args.window_generations,
@@ -160,8 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     def _request_stop(signum, frame) -> None:
         stop.set()
 
-    # Signal handlers must live in the main thread; worker children reset
-    # them, so only the service process reacts.
+    # Signal handlers must live in the main thread.
     signal.signal(signal.SIGTERM, _request_stop)
     signal.signal(signal.SIGINT, _request_stop)
 
@@ -200,10 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         stop.set()
         # Drain order matters: the ingest loop first (it commits the final
-        # generation at its batch boundary), then pool teardown, then stop
-        # accepting reads.
+        # generation at its batch boundary), then stop accepting reads.
         ingest.join(timeout=60.0)
-        shutdown_runtime()
         httpd.shutdown()
         httpd.server_close()
 

@@ -2,38 +2,36 @@
 
 One :class:`ImplicationService` owns:
 
-* a :class:`~repro.serving.sources.StreamSource` supplying deterministic,
-  absolutely-bounded batches;
-* one live accumulator estimator **per named condition profile** — the
+* a :class:`~repro.serving.sources.StreamSource` supplying deterministic
+  batches addressed by tuple cursor;
+* one resident estimator **per named condition profile** — the
   conditions ``(K, tau, c, theta)`` are baked into estimator state at
   ingest time, so "queries at arbitrary condition profiles" means one
   estimator per *registered* profile, all fed the same batches (the
   default registry is :data:`repro.verify.harness.CONDITION_PROFILES`);
-* one :class:`~repro.engine.sharded.ShardedIngestor` per profile, all
-  sharing the process-global persistent worker pool;
 * a :class:`SnapshotStore` of **published** read-only snapshots.
 
+Each batch advances every resident estimator in place with
+:meth:`~repro.core.estimator.ImplicationCountEstimator.update_batch`,
+which is exact for any chunking, so the state at cursor ``c`` is one
+plain single pass over the stream prefix ``[:c]`` — whatever the batch
+size, push chunking or restart history (:func:`offline_reference`).
+
 Snapshot isolation is copy-on-publish: after every ``publish_every``
-batches the accumulators are serialized through the wire format, their
+batches the estimators are serialized through the wire format, their
 state digests computed, and fresh decoded copies swapped into the store
 under a lock.  HTTP readers only ever touch store snapshots — immutable
 after publication — so reads never block ingest and can never observe a
 torn state.  The serialized payload doubles as the checkpoint payload
 (:mod:`repro.recovery.checkpoint`): the primary profile is the
 generation's payload, secondary profiles ride as checksummed
-attachments, and the manifest's ``extra`` records the ingest shape
-(source identity, batch size, worker count, profile list) which resume
-validates — exactly the discipline ``ingest_checkpointed`` uses.
-
-Because batch boundaries are absolute and each batch is one sharded
-ingest round merged in shard-index order, the published state at cursor
-``c`` is bit-for-bit (``estimator_state_digest``) equal to
-:func:`offline_reference` over the stream prefix ``[:c]`` — and a
-SIGTERM'd service resumed from its last checkpoint lands on the digest
+attachments, and the manifest's ``extra`` records the run's identity
+(source, profiles, geometry) which resume validates.  A SIGTERM'd
+service resumed from its last checkpoint therefore lands on the digest
 of an uninterrupted run.  The ``serve-snapshot-equivalence`` contract in
-:mod:`repro.verify.contracts` checks the former on every harness
-iteration; :mod:`tests.test_serving` and the CI serving smoke check the
-latter end-to-end.
+:mod:`repro.verify.contracts` checks every published snapshot against a
+single pass on every harness iteration; :mod:`tests.test_serving` and
+the CI serving smoke check the resume end-to-end.
 """
 
 from __future__ import annotations
@@ -48,8 +46,12 @@ import numpy as np
 from ..core.conditions import ImplicationConditions
 from ..core.estimator import ImplicationCountEstimator
 from ..core.serialize import estimator_state_digest
-from ..engine.sharded import ShardedIngestor
 from ..observability import metrics as obs
+from ..recovery.checkpoint import (
+    RESIDENT_STATE,
+    CheckpointManager,
+    check_resume_shape,
+)
 from ..sketch.bitops import least_significant_bit
 from .sources import PENDING, StreamSource, make_source
 
@@ -88,11 +90,12 @@ def default_profiles() -> dict[str, ImplicationConditions]:
 class ServeConfig:
     """Everything that shapes a service run (and its resume identity).
 
-    ``source``/``seed``/``tuples``/``batch_size``/``workers``/
-    ``num_bitmaps``/``profiles`` define the merge structure and are
-    recorded in every checkpoint and enforced on resume; ``publish_every``
-    is cadence only and may differ across restarts, like
-    ``ingest_checkpointed``'s ``every``.
+    The source's identity, ``seed``, ``num_bitmaps``, ``profiles`` and the
+    window settings are recorded in every checkpoint and enforced on
+    resume.  ``batch_size`` and ``publish_every`` are cadence and may
+    differ across restarts — except that a ``profile:`` source generates
+    its tuples batch by batch, so there ``batch_size`` is part of the
+    source's identity.
     """
 
     source: str = "profile:uniform"
@@ -100,17 +103,15 @@ class ServeConfig:
     tuples: int | None = None
     batch_size: int = 4096
     publish_every: int = 1
-    workers: int = 1
     num_bitmaps: int = 16
     profiles: tuple[str, ...] = ()
     keep: int = 3
     kernels: str | None = None
-    job_timeout: float | None = None
     #: Pace :meth:`ImplicationService.run` to at most this many tuples per
     #: second — models a stream's real arrival rate instead of replaying a
     #: recorded stream at ingest speed.  ``None`` runs flat out.  Pacing
-    #: is wall-clock only: it never changes batch contents or the merge
-    #: structure, so it is excluded from the resume-enforced shape (like
+    #: is wall-clock only: it never changes which tuples are ingested, so
+    #: it is excluded from the resume-enforced shape (like
     #: ``publish_every``).
     pace_tps: float | None = None
     #: Additionally maintain a sliding-window view over the last ``window``
@@ -136,8 +137,6 @@ class ServeConfig:
             raise ValueError(
                 f"publish_every must be >= 1, got {self.publish_every}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.pace_tps is not None and self.pace_tps <= 0:
             raise ValueError(f"pace_tps must be positive, got {self.pace_tps}")
 
@@ -147,7 +146,7 @@ class ServedSnapshot:
     """One profile's published, immutable read view.
 
     ``estimator`` is a fresh decode of ``payload`` — it shares no state
-    with the live accumulator, so any number of reader threads may query
+    with the resident estimator, so any number of reader threads may query
     it while ingest continues.  ``stats`` are the readouts precomputed at
     publish time (queries answer from here, keeping the hot path a dict
     lookup); ``digest`` is the ``estimator_state_digest`` the equivalence
@@ -286,7 +285,7 @@ class ImplicationService:
     The HTTP layer (:mod:`repro.serving.http`) and the CLI wrap this; the
     equivalence contract and the concurrency tests drive it directly via
     :meth:`ingest_step`, which is deliberately synchronous — one batch
-    through every profile's ingestor, one optional commit — so single
+    through every profile's estimator, one optional commit — so single
     steps can be interleaved with assertions.
 
     Parameters
@@ -351,25 +350,15 @@ class ImplicationService:
             )
             for name, conditions in self.profiles.items()
         }
-        self.ingestors = {
-            name: ShardedIngestor(
-                template,
-                workers=config.workers,
-                job_timeout=config.job_timeout,
-                kernels=config.kernels,
-            )
-            for name, template in self.templates.items()
-        }
-        self.accumulators = {
+        self.estimators = {
             name: template.spawn_sibling()
             for name, template in self.templates.items()
         }
         if config.window is not None:
             from ..windowed.estimator import WindowedImplicationEstimator
 
-            # The windowed view ingests the raw batches directly (not the
-            # sharded payload merge): rotation must split on the absolute
-            # tuple grid, which the pane-aligned update_batch guarantees.
+            # Rotation splits on the absolute tuple grid, which the
+            # pane-aligned update_batch guarantees for any batch size.
             self.windowed: dict[str, WindowedImplicationEstimator] = {
                 name: WindowedImplicationEstimator(
                     conditions,
@@ -385,13 +374,10 @@ class ImplicationService:
             self.windowed = {}
         self.store = SnapshotStore()
         self.cursor = 0
-        self.batch_index = 0
         self.restored_generation: int | None = None
         self._generation: int | None = None
         self._since_publish = 0
         if checkpoint_dir is not None:
-            from ..recovery.checkpoint import CheckpointManager
-
             self.manager = CheckpointManager(checkpoint_dir, keep=config.keep)
             self._restore()
         else:
@@ -414,17 +400,11 @@ class ImplicationService:
         return self._generation
 
     def _shape(self) -> dict:
-        """The resume-enforced ingest identity (cadence excluded).
-
-        ``batch_path`` is constant: checkpoints written before batch ingest
-        became exact scalar replay lack it, and resume refuses them.
-        """
+        """The resume-enforced run identity (cadence excluded)."""
         return {
             "kind": "serving",
-            "batch_path": "exact",
+            "state": RESIDENT_STATE,
             "source": self.source.describe(),
-            "batch_size": self.config.batch_size,
-            "workers": self.config.workers,
             "num_bitmaps": self.config.num_bitmaps,
             "seed": self.config.seed,
             "profiles": list(self.profiles),
@@ -440,24 +420,8 @@ class ImplicationService:
         restored = self.manager.load_latest(template=self.templates[self.primary])
         if restored is None:
             return
-        shape = self._shape()
-        recorded = {key: restored.manifest["extra"].get(key) for key in shape}
-        if recorded["batch_path"] != shape["batch_path"]:
-            raise ValueError(
-                f"checkpoint generation {restored.generation} predates exact "
-                f"batch replay: it was written by the removed "
-                f"pair-aggregation/grouped-dispatch ingest, whose state "
-                f"exact replay cannot continue bit-for-bit — restart the "
-                f"service on an empty checkpoint directory"
-            )
-        if recorded != shape:
-            raise ValueError(
-                f"checkpoint generation {restored.generation} was written by "
-                f"a service shaped {recorded}, cannot resume with {shape} — "
-                f"the merge structure (and therefore the served digests) "
-                f"would diverge from the uninterrupted run"
-            )
-        self.accumulators[self.primary] = restored.estimator
+        check_resume_shape(restored, self._shape())
+        self.estimators[self.primary] = restored.estimator
         for name in list(self.profiles)[1:]:
             blob = restored.attachments.get(_PROFILE_ATTACHMENT + name)
             if blob is None:  # pragma: no cover - shape guard catches first
@@ -465,7 +429,11 @@ class ImplicationService:
                     f"checkpoint generation {restored.generation} has no "
                     f"payload for profile {name!r}"
                 )
-            self.accumulators[name] = ImplicationCountEstimator.from_bytes(blob)
+            self.estimators[name] = ImplicationCountEstimator.from_bytes(blob)
+        # Decoding resolves the backend from the environment; the restored
+        # estimators keep ingesting, so they take the configured one.
+        for name, estimator in self.estimators.items():
+            estimator.kernels = self.templates[name].kernels
         if self.windowed:
             window_epoch = restored.manifest["epoch"].get("window")
             if window_epoch is None:  # pragma: no cover - shape guard first
@@ -488,32 +456,20 @@ class ImplicationService:
                     payloads.append((origin, blob))
                 windowed.load_generations(window_epoch["clock"], payloads)
         self.cursor = restored.cursor
-        self.batch_index = int(
-            restored.manifest["epoch"].get(
-                "batch_index", restored.cursor // self.config.batch_size
-            )
-        )
         resume_at = getattr(self.source, "resume_at", None)
         if resume_at is not None:
-            ended = bool(restored.manifest["epoch"].get("source_ended", False))
-            if not ended and self.cursor != self.batch_index * self.config.batch_size:
-                # An off-grid cursor can only be the short final batch a
-                # push source emits once the stream closed and drained
-                # (checkpoints older than the explicit marker).
-                ended = True
-            if ended:
+            if restored.manifest["epoch"].get("source_ended", False):
                 # The stream is over for good — pushes after close()
                 # raise — so serve the checkpoint as drained instead of
-                # arming a replay skip (whose grid check would reject the
-                # closed stream's off-grid tail cursor).
-                self.source.resume_drained(self.cursor, self.batch_index)
+                # arming a replay skip.
+                self.source.resume_drained(self.cursor)
                 self.store.set_status("drained")
             else:
                 # Push sources cannot random-access history: tell the queue
                 # to swallow the first ``cursor`` re-pushed tuples so a client
                 # replaying its stream from the start continues the
                 # interrupted run exactly.
-                resume_at(self.cursor, self.batch_index)
+                resume_at(self.cursor)
         self.restored_generation = restored.generation
         self._generation = restored.generation
         registry = obs.get_registry()
@@ -541,9 +497,9 @@ class ImplicationService:
         pushes with steps freely.
         """
         if stop_event is not None:
-            batch = self.source.wait_batch(self.batch_index, stop_event)
+            batch = self.source.wait_batch(self.cursor, stop_event)
         else:
-            batch = self.source.batch(self.batch_index)
+            batch = self.source.batch(self.cursor)
         if batch is PENDING:
             # Live push stream, nothing buffered yet — not end-of-stream.
             return True
@@ -555,13 +511,10 @@ class ImplicationService:
         lhs, rhs = batch
         registry = obs.get_registry()
         started = time.perf_counter()
-        for name, ingestor in self.ingestors.items():
-            accumulator = self.accumulators[name]
-            for _, payload in ingestor.ingest_payloads(lhs, rhs):
-                accumulator.merge(ImplicationCountEstimator.from_bytes(payload))
+        for estimator in self.estimators.values():
+            estimator.update_batch(lhs, rhs)
         for windowed in self.windowed.values():
             windowed.update_batch(lhs, rhs)
-        self.batch_index += 1
         self.cursor += len(lhs)
         self._since_publish += 1
         registry.counter("serving.batches").add(1)
@@ -574,16 +527,16 @@ class ImplicationService:
         return True
 
     def commit(self) -> None:
-        """Serialize every accumulator, checkpoint (if durable), publish."""
+        """Serialize every estimator, checkpoint (if durable), publish."""
         registry = obs.get_registry()
         started = time.perf_counter()
         payloads = {
-            name: accumulator.to_bytes()
-            for name, accumulator in self.accumulators.items()
+            name: estimator.to_bytes()
+            for name, estimator in self.estimators.items()
         }
         digests = {
-            name: estimator_state_digest(accumulator)
-            for name, accumulator in self.accumulators.items()
+            name: estimator_state_digest(estimator)
+            for name, estimator in self.estimators.items()
         }
         if self.manager is not None:
             attachments = {
@@ -591,7 +544,6 @@ class ImplicationService:
                 for name in list(self.profiles)[1:]
             }
             epoch: dict = {
-                "batch_index": self.batch_index,
                 # Push streams that closed and fully drained are finished
                 # for good; the marker lets a restart serve this checkpoint
                 # as drained rather than wait for a replay that cannot come.
@@ -621,7 +573,7 @@ class ImplicationService:
                     },
                 }
             manifest = self.manager.save(
-                self.accumulators[self.primary],
+                self.estimators[self.primary],
                 cursor=self.cursor,
                 epoch=epoch,
                 extra=self._shape(),
@@ -643,13 +595,13 @@ class ImplicationService:
     ) -> None:
         if payloads is None:
             payloads = {
-                name: accumulator.to_bytes()
-                for name, accumulator in self.accumulators.items()
+                name: estimator.to_bytes()
+                for name, estimator in self.estimators.items()
             }
         if digests is None:
             digests = {
-                name: estimator_state_digest(accumulator)
-                for name, accumulator in self.accumulators.items()
+                name: estimator_state_digest(estimator)
+                for name, estimator in self.estimators.items()
             }
         snapshots = {}
         for name, conditions in self.profiles.items():
@@ -701,10 +653,9 @@ class ImplicationService:
         """Ingest until the source drains or ``stop_event`` is set.
 
         A stop request takes effect at the next batch boundary — the
-        graceful-SIGTERM semantics: in-flight shard work drains, progress
+        graceful-SIGTERM semantics: the in-flight batch finishes, progress
         up to the boundary is committed (so resume replays nothing that
-        was already merged), and the store status flips to ``stopped``.
-        The caller owns pool teardown (``engine.shutdown_runtime``).
+        was already ingested), and the store status flips to ``stopped``.
 
         With ``config.pace_tps`` set, the loop sleeps between batches so
         the cursor tracks the configured arrival rate (a stop request cuts
@@ -741,22 +692,16 @@ def offline_reference(
     lhs: np.ndarray,
     rhs: np.ndarray,
     *,
-    batch_size: int,
-    workers: int = 1,
-    kernels: str | None = None,
+    batch_size: int | None = None,
 ) -> ImplicationCountEstimator:
-    """One synchronous pass with the service's exact merge structure.
+    """One plain ``update_batch`` pass over the stream (the served state).
 
-    Batch boundaries at absolute multiples of ``batch_size``, one sharded
-    round per batch, payloads merged in shard-index order — identical to
-    what :meth:`ImplicationService.ingest_step` does per profile (and to
-    ``ingest_checkpointed`` with ``chunk_size=batch_size``), so the result
-    digest equals every served snapshot's digest at the same cursor.
+    A sibling of ``template`` ingests ``(lhs, rhs)`` in one call.  The
+    service advances one resident estimator per profile the same way, so
+    this digest equals every served snapshot's digest at the same cursor.
+    ``batch_size`` is accepted for callers that pass the service's batch
+    size; the result does not depend on it.
     """
-    merged = template.spawn_sibling()
-    ingestor = ShardedIngestor(template, workers=workers, kernels=kernels)
-    for start in range(0, len(lhs), batch_size):
-        stop = min(start + batch_size, len(lhs))
-        for _, payload in ingestor.ingest_payloads(lhs[start:stop], rhs[start:stop]):
-            merged.merge(ImplicationCountEstimator.from_bytes(payload))
-    return merged
+    estimator = template.spawn_sibling()
+    estimator.update_batch(lhs, rhs)
+    return estimator

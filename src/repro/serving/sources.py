@@ -1,31 +1,31 @@
 """Pluggable stream sources for the serving layer.
 
-A :class:`StreamSource` is a deterministic, *randomly addressable*
-sequence of ``(lhs, rhs)`` batches: ``batch(i)`` always returns the same
-arrays for the same ``i``, and batch boundaries are absolute (every batch
-except possibly the last holds exactly ``batch_size`` tuples).  Those two
-properties are what make the serving layer's durability story exact —
-resume skips already-ingested batches in O(1) by index instead of
-replaying them, and the replayed suffix is guaranteed identical to what
-the interrupted run would have ingested, so the resumed digest is
-bit-for-bit the uninterrupted one.
+A :class:`StreamSource` is a deterministic sequence of ``(lhs, rhs)``
+tuples addressed by **tuple cursor**: ``batch(cursor)`` returns the next
+batch starting at tuple ``cursor`` (at most ``batch_size`` tuples), and
+always the same arrays for the same cursor.  The service keeps one
+resident estimator per profile and advances it in place, and
+``update_batch`` is exact for any chunking, so how a stream is cut into
+batches never reaches served state: resume just continues from the
+checkpoint's cursor, and the resumed digest is bit-for-bit the
+uninterrupted one (both are a plain single pass over the same tuples).
 
 First-party sources:
 
 * :class:`ProfileSource` — the adversarial stream profiles of
   :mod:`repro.verify.streams` (``uniform``, ``skewed``, ``bursty``, ...),
   generated per batch from a seed derived as ``sha256(seed, index)`` so
-  any batch is computable without generating its predecessors.  Bounded
-  by ``tuples`` or infinite.
+  any batch is computable without generating its predecessors.  Here
+  ``batch_size`` is data identity: it decides which tuples the stream
+  holds.  Bounded by ``tuples`` or infinite.
 * :class:`ArraySource` — wraps concrete arrays (tests, the equivalence
   contract, and the :mod:`repro.datasets` generators via
   ``dataset-one:`` specs).
 * :class:`PushSource` — the write path: clients *push* ``(lhs, rhs)``
-  chunks (``POST /ingest``) into a bounded queue the ingest loop drains.
-  Pushes are re-chunked onto the same absolute ``batch_size`` grid the
-  pull sources use, so a drained push stream lands bit-for-bit on the
-  digest of the equivalent :class:`ArraySource` run (the
-  ``serve-push-equivalence`` contract).
+  chunks (``POST /ingest``) into a bounded queue the ingest loop drains
+  in ``batch_size`` batches.  A drained push stream lands bit-for-bit on
+  the single pass over the concatenated pushes, however the client chunks
+  them (the ``serve-push-equivalence`` contract).
 
 ``make_source`` parses the CLI's ``--source`` spec strings.
 """
@@ -58,33 +58,33 @@ PENDING = object()
 
 
 class StreamSource:
-    """Deterministic random-access batch supplier (abstract)."""
+    """Deterministic cursor-addressed batch supplier (abstract)."""
 
     batch_size: int
 
-    def batch(self, index: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Batch ``index`` as ``(lhs, rhs)``, or ``None`` past the end."""
+    def batch(self, cursor: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The batch starting at tuple ``cursor`` as ``(lhs, rhs)``, or
+        ``None`` past the end."""
         raise NotImplementedError
 
     def wait_batch(
-        self, index: int, stop_event: threading.Event | None = None
+        self, cursor: int, stop_event: threading.Event | None = None
     ):
-        """Batch ``index``, waiting for it if the source is push-fed.
+        """The batch at ``cursor``, waiting for it if the source is push-fed.
 
         Pull sources never wait — the default just answers
-        :meth:`batch`.  Push sources block until batch ``index`` is
-        complete (returning it), the stream is closed (``None`` once
-        drained), or ``stop_event`` is set (:data:`PENDING`, so the
-        caller can commit and stop without misreading a pause as
-        end-of-stream).
+        :meth:`batch`.  Push sources block until a batch is complete
+        (returning it), the stream is closed (``None`` once drained), or
+        ``stop_event`` is set (:data:`PENDING`, so the caller can commit
+        and stop without misreading a pause as end-of-stream).
         """
-        return self.batch(index)
+        return self.batch(cursor)
 
     def describe(self) -> dict:
         """JSON-able identity of this source.
 
         Recorded in every checkpoint manifest and enforced on resume: two
-        sources with equal descriptions must produce identical batches.
+        sources with equal descriptions must produce the same tuples.
         """
         raise NotImplementedError
 
@@ -100,7 +100,9 @@ class ProfileSource(StreamSource):
 
     Each batch is an independent ``batch_size``-tuple stream from the
     profile's generator, seeded by ``(seed, index)`` — the logical stream
-    is their concatenation.  ``tuples=None`` makes the source infinite
+    is their concatenation, so ``batch_size`` is part of the data
+    identity.  ``batch(cursor)`` answers the rest of the generated batch
+    holding tuple ``cursor``.  ``tuples=None`` makes the source infinite
     (a service that runs until SIGTERM); bounded sources emit a short
     final batch when ``tuples`` is not a multiple of ``batch_size``.
     """
@@ -127,14 +129,18 @@ class ProfileSource(StreamSource):
         self.batch_size = batch_size
         self.tuples = tuples
 
-    def batch(self, index: int) -> tuple[np.ndarray, np.ndarray] | None:
-        start = index * self.batch_size
-        if self.tuples is not None and start >= self.tuples:
+    def batch(self, cursor: int) -> tuple[np.ndarray, np.ndarray] | None:
+        if self.tuples is not None and cursor >= self.tuples:
             return None
+        index, offset = divmod(cursor, self.batch_size)
+        start = index * self.batch_size
         size = self.batch_size
         if self.tuples is not None:
             size = min(size, self.tuples - start)
-        return generate_stream(self.profile, _batch_seed(self.seed, index), size)
+        lhs, rhs = generate_stream(
+            self.profile, _batch_seed(self.seed, index), size
+        )
+        return lhs[offset:], rhs[offset:]
 
     def describe(self) -> dict:
         return {
@@ -147,7 +153,7 @@ class ProfileSource(StreamSource):
 
 
 class ArraySource(StreamSource):
-    """Concrete in-memory arrays served in absolute ``batch_size`` slices."""
+    """Concrete in-memory arrays served in ``batch_size`` slices."""
 
     def __init__(
         self,
@@ -170,12 +176,11 @@ class ArraySource(StreamSource):
         self.batch_size = batch_size
         self._description = description
 
-    def batch(self, index: int) -> tuple[np.ndarray, np.ndarray] | None:
-        start = index * self.batch_size
-        if start >= len(self.lhs):
+    def batch(self, cursor: int) -> tuple[np.ndarray, np.ndarray] | None:
+        if cursor >= len(self.lhs):
             return None
-        stop = min(start + self.batch_size, len(self.lhs))
-        return self.lhs[start:stop], self.rhs[start:stop]
+        stop = cursor + self.batch_size
+        return self.lhs[cursor:stop], self.rhs[cursor:stop]
 
     def describe(self) -> dict:
         if self._description is not None:
@@ -188,7 +193,6 @@ class ArraySource(StreamSource):
         return {
             "kind": "array",
             "sha256": digest.hexdigest()[:16],
-            "batch_size": self.batch_size,
             "tuples": int(len(self.lhs)),
         }
 
@@ -217,11 +221,10 @@ class PushSource(StreamSource):
     """Bounded queue of client-pushed tuples, drained by the ingest loop.
 
     The write path: ``POST /ingest`` (or :meth:`push` directly) appends
-    ``(lhs, rhs)`` chunks of *any* size; the source re-chunks them onto
-    the absolute ``batch_size`` grid every pull source uses, so the merge
-    structure — and therefore every published digest — is identical to an
-    :class:`ArraySource` over the concatenated pushes.  How a client
-    chunks its pushes can never leak into served state.
+    ``(lhs, rhs)`` chunks of *any* size; the source re-chunks them into
+    full ``batch_size`` batches, which keeps the commit cadence of a pull
+    source.  Served state is a single pass over the concatenated pushes,
+    so how a client chunks them can never leak into it.
 
     Capacity is bounded at ``capacity_batches * batch_size`` buffered
     tuples: a push that would exceed it raises :class:`PushBacklogFull`
@@ -232,16 +235,17 @@ class PushSource(StreamSource):
     batch).
 
     The source is single-consumer and monotone: the ingest loop asks for
-    batch ``i`` exactly once, in order, and consumed batches are dropped
-    (memory stays bounded).  Determinism across restarts is the client's
-    replay responsibility: on resume the service calls :meth:`resume_at`
-    and the source silently swallows the first ``cursor`` re-pushed
-    tuples, so a client that replays its stream from the beginning lands
-    on the uninterrupted digest — the discipline the CI push smoke
-    proves end-to-end.  A checkpoint taken after the stream ended (close
-    observed, buffer fully drained — possibly on a short final batch,
-    off the cursor grid) restores through :meth:`resume_drained` instead:
-    the finished stream is served as drained, and no replay is expected.
+    the batch at its own tuple cursor, which must be the number of tuples
+    the source has handed out, and consumed batches are dropped (memory
+    stays bounded).  Determinism across restarts is the client's replay
+    responsibility: on resume the service calls :meth:`resume_at` and the
+    source silently swallows the first ``cursor`` re-pushed tuples, so a
+    client that replays its stream from the beginning lands on the
+    uninterrupted digest — the discipline the CI push smoke proves
+    end-to-end.  A checkpoint taken after the stream ended (close
+    observed, buffer fully drained) restores through
+    :meth:`resume_drained` instead: the finished stream is served as
+    drained, and no replay is expected.
     """
 
     def __init__(
@@ -260,7 +264,7 @@ class PushSource(StreamSource):
         self._tail: list[tuple[np.ndarray, np.ndarray]] = []
         self._tail_tuples = 0
         self._closed = False
-        self._next_index = 0
+        self._cursor = 0
         self._skip_remaining = 0
         self.pushed_tuples = 0
         self.skipped_tuples = 0
@@ -364,81 +368,63 @@ class PushSource(StreamSource):
     # Consumer side (the ingest loop)
     # ------------------------------------------------------------------ #
 
-    def resume_at(self, cursor: int, batch_index: int) -> None:
+    def resume_at(self, cursor: int) -> None:
         """Skip the already-ingested prefix after a checkpoint restore.
 
-        ``cursor`` must sit on the batch grid (commits happen at batch
-        boundaries); the first ``cursor`` tuples subsequently pushed are
-        swallowed, so a client replaying its stream from the beginning
-        continues the interrupted run exactly.
+        The first ``cursor`` tuples subsequently pushed are swallowed, so a
+        client replaying its stream from the beginning continues the
+        interrupted run exactly.
         """
-        if cursor != batch_index * self.batch_size:
-            raise ValueError(
-                f"cannot resume a push source at cursor {cursor}: not on "
-                f"the batch_size={self.batch_size} grid of batch "
-                f"{batch_index}"
-            )
         with self._state:
-            if self._next_index or self.pushed_tuples:
+            if self._cursor or self.pushed_tuples:
                 raise ValueError("resume_at on a source that already served")
-            self._next_index = batch_index
-            self._skip_remaining = cursor
+            self._cursor = self._skip_remaining = cursor
 
-    def resume_drained(self, cursor: int, batch_index: int) -> None:
-        """Restore the tail position of a stream that already ended.
+    def resume_drained(self, cursor: int) -> None:
+        """Restore a stream that had already ended at ``cursor``.
 
         The counterpart of :meth:`resume_at` for checkpoints whose stream
-        closed and fully drained before the commit: the cursor may sit
-        *off* the batch grid (a closed stream's short final batch), and
-        nothing will ever be re-pushed — pushes after ``close()`` raise —
-        so the source restores as closed-and-empty and the service serves
-        the checkpoint as drained.
+        closed and fully drained before the commit: nothing will ever be
+        re-pushed — pushes after ``close()`` raise — so the source
+        restores as closed-and-empty and the service serves the
+        checkpoint as drained.
         """
-        tail = cursor - (batch_index - 1) * self.batch_size
-        if batch_index < 0 or cursor < 0 or (
-            (batch_index == 0 and cursor != 0)
-            or (batch_index > 0 and not 0 < tail <= self.batch_size)
-        ):
-            raise ValueError(
-                f"cursor {cursor} is not the tail of final batch "
-                f"{batch_index} at batch_size={self.batch_size}"
-            )
         with self._state:
-            if self._next_index or self.pushed_tuples:
+            if self._cursor or self.pushed_tuples:
                 raise ValueError(
                     "resume_drained on a source that already served"
                 )
-            self._next_index = batch_index
+            self._cursor = cursor
             self._closed = True
             self._state.notify_all()
 
-    def batch(self, index: int) -> tuple[np.ndarray, np.ndarray] | None:
+    def batch(self, cursor: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Non-blocking pull: the ready batch, ``None`` when drained after
         ``close()``, or :data:`PENDING` while the queue is momentarily
         empty on a live stream."""
-        return self._take(index, block=False, stop_event=None)
+        return self._take(cursor, block=False, stop_event=None)
 
     def wait_batch(
-        self, index: int, stop_event: threading.Event | None = None
+        self, cursor: int, stop_event: threading.Event | None = None
     ):
-        return self._take(index, block=True, stop_event=stop_event)
+        return self._take(cursor, block=True, stop_event=stop_event)
 
-    def _take(self, index: int, *, block: bool, stop_event):
+    def _take(self, cursor: int, *, block: bool, stop_event):
         with self._state:
-            if index != self._next_index:
+            if cursor != self._cursor:
                 raise ValueError(
                     f"push sources are single-consumer and monotone: asked "
-                    f"for batch {index}, expected {self._next_index}"
+                    f"for the batch at tuple {cursor}, expected {self._cursor}"
                 )
             while True:
                 if self._ready:
                     batch = self._ready.popleft()
-                    self._next_index += 1
+                    self._cursor += len(batch[0])
                     return batch
                 if self._closed:
                     if self._tail_tuples:
                         batch = self._carve_locked(self._tail_tuples)
-                        self._next_index += 1
+                        self._cursor += len(batch[0])
                         return batch
                     return None
                 if not block or (stop_event is not None and stop_event.is_set()):
@@ -448,10 +434,10 @@ class PushSource(StreamSource):
                 self._state.wait(0.05)
 
     def describe(self) -> dict:
-        # Capacity is backpressure cadence, not data identity — two runs
-        # with different capacities drain identical batches — so it stays
+        # Capacity and batch size are cadence, not data identity — runs
+        # that differ only in them ingest the same tuples — so they stay
         # out of the resume-enforced description, like ``publish_every``.
-        return {"kind": "push", "batch_size": self.batch_size}
+        return {"kind": "push"}
 
 
 def _parse_params(raw: str, spec: str) -> dict[str, int]:
@@ -537,7 +523,6 @@ def make_source(
                 "implied": implied,
                 "c": arity,
                 "seed": seed,
-                "batch_size": batch_size,
                 "tuples": int(len(lhs)),
             },
         )

@@ -238,39 +238,63 @@ def _check_pool_execution_equivalence(case: StreamCase) -> str | None:
     return _compare_states("serial execution", serial, "reused pool", reused)
 
 
-def _check_resume_single_pass(case: StreamCase) -> str | None:
-    """Checkpoint/resume == uninterrupted run, bit-for-bit, all profiles.
+def _single_pass(
+    template: ImplicationCountEstimator, lhs: np.ndarray, rhs: np.ndarray
+) -> ImplicationCountEstimator:
+    """The resident-state reference: one ``update_batch`` over the stream."""
+    estimator = template.spawn_sibling()
+    estimator.update_batch(lhs, rhs)
+    return estimator
 
-    Three legs over the same chunked checkpointed ingest
-    (:meth:`ShardedIngestor.ingest_checkpointed`): an uninterrupted run,
-    an interrupted run (the stream prefix up to a chunk boundary — the
-    state a crash leaves behind) that is then resumed over the full
-    stream, and the same resume after the latest checkpoint generation
-    has been corrupted on disk (torn-write stand-in), which must fall
-    back to the previous generation.  All three must land on the same
-    state digest.  No theta scope: both sides run the *same* merge
-    structure (absolute chunk boundaries), so even interleaving-sensitive
-    sticky state evolves identically.
+
+def _check_resume_single_pass(case: StreamCase) -> str | None:
+    """Checkpoint/resume == one plain single pass, bit-for-bit, all profiles.
+
+    Checkpointed ingest (:func:`repro.recovery.ingest_checkpointed`)
+    advances one resident estimator chunk by chunk.  Three runs must land
+    on the digest of one ``update_batch`` pass over the whole stream: an
+    uninterrupted run; an interrupted run (the stream prefix up to a chunk
+    boundary — the state a crash leaves behind) resumed over the full
+    stream under a second chunk size; and the same resume after the
+    latest checkpoint generation has been corrupted on disk (torn-write
+    stand-in), which must fall back to the previous generation.  No theta
+    or fringe scope: ``update_batch`` is exact for any chunking, so any
+    divergence is a recovery defect.
     """
+    from ..recovery import ingest_checkpointed
     from ..recovery.checkpoint import CheckpointManager
 
+    template = case.make()
+    single = _single_pass(template, case.lhs, case.rhs)
     chunk = max(len(case.lhs) // 4, 1)
+    other = max(len(case.lhs) // 7, 1)
     boundary = min(2 * chunk, len(case.lhs))
-    kwargs = dict(chunk_size=chunk, every=1)
     with tempfile.TemporaryDirectory(prefix="repro-resume-contract-") as root:
-        full_manager = CheckpointManager(os.path.join(root, "full"), keep=8)
-        uninterrupted = ShardedIngestor(case.make(), workers=1).ingest_checkpointed(
-            case.lhs, case.rhs, manager=full_manager, **kwargs
-        )
-        part_manager = CheckpointManager(os.path.join(root, "part"), keep=8)
-        ShardedIngestor(case.make(), workers=1).ingest_checkpointed(
-            case.lhs[:boundary], case.rhs[:boundary], manager=part_manager, **kwargs
-        )
-        resumed = ShardedIngestor(case.make(), workers=1).ingest_checkpointed(
-            case.lhs, case.rhs, manager=part_manager, **kwargs
+        uninterrupted = ingest_checkpointed(
+            template,
+            case.lhs,
+            case.rhs,
+            manager=CheckpointManager(os.path.join(root, "full"), keep=8),
+            chunk_size=chunk,
         )
         message = _compare_states(
-            "uninterrupted checkpointed run", uninterrupted, "resumed run", resumed
+            "single pass", single, "uninterrupted checkpointed run", uninterrupted
+        )
+        if message is not None:
+            return message
+        part_manager = CheckpointManager(os.path.join(root, "part"), keep=8)
+        ingest_checkpointed(
+            template,
+            case.lhs[:boundary],
+            case.rhs[:boundary],
+            manager=part_manager,
+            chunk_size=chunk,
+        )
+        resumed = ingest_checkpointed(
+            template, case.lhs, case.rhs, manager=part_manager, chunk_size=other
+        )
+        message = _compare_states(
+            "single pass", single, f"run resumed at chunk_size={other}", resumed
         )
         if message is not None:
             return message
@@ -288,8 +312,8 @@ def _check_resume_single_pass(case: StreamCase) -> str | None:
             handle.seek(0)
             handle.write(blob)
         fallback_manager = CheckpointManager(part_manager.directory, keep=8)
-        recovered = ShardedIngestor(case.make(), workers=1).ingest_checkpointed(
-            case.lhs, case.rhs, manager=fallback_manager, **kwargs
+        recovered = ingest_checkpointed(
+            template, case.lhs, case.rhs, manager=fallback_manager, chunk_size=other
         )
         if len(generations) > 1 and not any(
             generation == latest for generation, _ in fallback_manager.last_skipped
@@ -299,90 +323,80 @@ def _check_resume_single_pass(case: StreamCase) -> str | None:
                 f"(skipped: {fallback_manager.last_skipped})"
             )
         return _compare_states(
-            "uninterrupted checkpointed run",
-            uninterrupted,
+            "single pass",
+            single,
             "resume after corrupted latest generation",
             recovered,
         )
 
 
 def _check_serve_snapshot_equivalence(case: StreamCase) -> str | None:
-    """Every served snapshot == an offline single pass over its prefix.
+    """Every served snapshot == one plain single pass over its prefix.
 
     Drives the serving loop (:class:`repro.serving.service.ImplicationService`)
-    batch by batch over the case stream and, for every snapshot it
-    publishes, replays the stream prefix up to the snapshot's cursor with
-    :func:`repro.serving.service.offline_reference` — the one-shot
-    synchronous pass sharing the service's merge structure (absolute
-    batch boundaries, shard-index merge order).  Each published
-    ``estimator_state_digest`` must match its replay bit-for-bit, and
-    the snapshot's own digest must match its decoded payload (the wire
-    form a ``/snapshot`` client receives).  No theta scope: both legs run
-    the identical structure, so interleaving-sensitive sticky state
-    evolves identically — any divergence is a serving-layer defect (stale
-    accumulator published, cursor off by a batch, torn snapshot), never a
-    documented approximation.
+    batch by batch over the case stream, at two batch sizes, and for every
+    snapshot it publishes runs one ``update_batch`` pass of a template
+    sibling over the stream prefix up to the snapshot's cursor.  Each
+    published ``estimator_state_digest`` must match its single pass
+    bit-for-bit — so both batch sizes drain to the same digest — and the
+    snapshot's own digest must match its decoded payload (the wire form a
+    ``/snapshot`` client receives).  No theta or fringe scope: the service
+    advances one resident estimator per profile, so any divergence is a
+    serving-layer defect (stale estimator published, cursor off by a
+    batch, torn snapshot), never a documented approximation.
     """
-    from ..serving.service import ImplicationService, ServeConfig, offline_reference
+    from ..serving.service import ImplicationService, ServeConfig
     from ..serving.sources import ArraySource
 
-    batch = max(len(case.lhs) // 3, 1)
-    config = ServeConfig(
-        batch_size=batch,
-        publish_every=1,
-        workers=2,
-        num_bitmaps=case.num_bitmaps,
-        seed=case.hash_seed,
-    )
-    service = ImplicationService(
-        config,
-        source=ArraySource(case.lhs, case.rhs, batch_size=batch),
-        profiles={"case": case.conditions},
-    )
-    published: list[tuple[int, str, bytes]] = []
-    while service.ingest_step():
-        snapshot = service.store.get("case")
-        published.append((snapshot.cursor, snapshot.digest, snapshot.payload))
-    snapshot = service.store.get("case")
-    if snapshot.cursor != len(case.lhs):
-        return (
-            f"drained service stopped at cursor {snapshot.cursor}, "
-            f"expected {len(case.lhs)}"
-        )
-    published.append((snapshot.cursor, snapshot.digest, snapshot.payload))
-    template = service.templates["case"]
-    for cursor, digest, payload in published:
-        decoded = ImplicationCountEstimator.from_bytes(payload)
-        if estimator_state_digest(decoded) != digest:
-            return (
-                f"snapshot payload at cursor {cursor} decodes to a different "
-                f"digest than the one served"
-            )
-        reference = offline_reference(
-            template,
-            case.lhs[:cursor],
-            case.rhs[:cursor],
+    for batch in sorted({max(len(case.lhs) // 3, 1), max(len(case.lhs) // 5, 1)}):
+        config = ServeConfig(
             batch_size=batch,
-            workers=2,
+            publish_every=1,
+            num_bitmaps=case.num_bitmaps,
+            seed=case.hash_seed,
         )
-        if estimator_state_digest(reference) != digest:
+        service = ImplicationService(
+            config,
+            source=ArraySource(case.lhs, case.rhs, batch_size=batch),
+            profiles={"case": case.conditions},
+        )
+        published: list[tuple[int, str, bytes]] = []
+        while service.ingest_step():
+            snapshot = service.store.get("case")
+            published.append((snapshot.cursor, snapshot.digest, snapshot.payload))
+        snapshot = service.store.get("case")
+        if snapshot.cursor != len(case.lhs):
             return (
-                f"served snapshot at cursor {cursor} diverges from the "
-                f"offline single pass over the same stream prefix"
+                f"drained service (batch_size={batch}) stopped at cursor "
+                f"{snapshot.cursor}, expected {len(case.lhs)}"
             )
+        published.append((snapshot.cursor, snapshot.digest, snapshot.payload))
+        template = service.templates["case"]
+        for cursor, digest, payload in published:
+            decoded = ImplicationCountEstimator.from_bytes(payload)
+            if estimator_state_digest(decoded) != digest:
+                return (
+                    f"snapshot payload at cursor {cursor} (batch_size={batch}) "
+                    f"decodes to a different digest than the one served"
+                )
+            reference = _single_pass(
+                template, case.lhs[:cursor], case.rhs[:cursor]
+            )
+            if estimator_state_digest(reference) != digest:
+                return (
+                    f"served snapshot at cursor {cursor} (batch_size={batch}) "
+                    f"diverges from the single pass over the same stream prefix"
+                )
     return None
 
 
 def _check_serve_push_equivalence(case: StreamCase) -> str | None:
-    """A drained push stream == the equivalent pull run, bit-for-bit.
+    """A drained push stream == one plain single pass, bit-for-bit.
 
-    The write path re-chunks arbitrary client pushes onto the absolute
-    ``batch_size`` grid, so *how* a client chunks its pushes must never
-    leak into served state.  This check drives
-    :class:`~repro.serving.sources.PushSource`-backed services through
-    three adversarial legs and pins every final digest to the same
-    :func:`~repro.serving.service.offline_reference` single pass an
-    :class:`~repro.serving.sources.ArraySource` run lands on:
+    *How* a client chunks its pushes must never leak into served state.
+    This check drives :class:`~repro.serving.sources.PushSource`-backed
+    services through three adversarial legs and pins every final digest
+    to one ``update_batch`` pass of a template sibling over the stream:
 
     * **Irregular chunking** — the case stream pushed in a cycling
       pattern of awkward chunk sizes (1 tuple, half batches, exact
@@ -394,18 +408,18 @@ def _check_serve_push_equivalence(case: StreamCase) -> str | None:
       (drain-on-429), so batches are carved while the producer is
       mid-stream, not only after close.
     * **Interrupt + resume** — a checkpointed service is abandoned
-      mid-stream (the SIGTERM story), a fresh service resumes from its
-      checkpoint directory, and the client replays the stream *from the
-      beginning with different chunk sizes*; the source must swallow
-      exactly the committed prefix and the drained digest must equal the
-      uninterrupted one.
+      mid-stream (the SIGTERM story), a fresh service with a second batch
+      size resumes from its checkpoint directory, and the client replays
+      the stream *from the beginning with different chunk sizes*; the
+      source must swallow exactly the committed prefix and the drained
+      digest must equal the uninterrupted one.
 
-    No theta scope: push and pull legs share the identical merge
-    structure, so any divergence is a write-path defect (mis-carved
+    No theta or fringe scope: the service advances one resident estimator
+    per profile, so any divergence is a write-path defect (mis-carved
     batch, tuples dropped under backpressure, resume skipping the wrong
     prefix), never a documented approximation.
     """
-    from ..serving.service import ImplicationService, ServeConfig, offline_reference
+    from ..serving.service import ImplicationService, ServeConfig
     from ..serving.sources import PushBacklogFull
 
     batch = max(len(case.lhs) // 3, 1)
@@ -413,7 +427,6 @@ def _check_serve_push_equivalence(case: StreamCase) -> str | None:
         source="push:capacity=2",
         batch_size=batch,
         publish_every=1,
-        workers=2,
         num_bitmaps=case.num_bitmaps,
         seed=case.hash_seed,
     )
@@ -456,21 +469,18 @@ def _check_serve_push_equivalence(case: StreamCase) -> str | None:
             f"expected {len(case.lhs)}"
         )
     pushed_digest = service.store.get("case").digest
-    reference = offline_reference(
-        service.templates["case"],
-        case.lhs,
-        case.rhs,
-        batch_size=batch,
-        workers=2,
-    )
+    reference = _single_pass(service.templates["case"], case.lhs, case.rhs)
     if estimator_state_digest(reference) != pushed_digest:
         return (
-            "drained push stream diverges from the offline single pass "
-            "over the same tuples (client chunking leaked into state)"
+            "drained push stream diverges from the single pass over the "
+            "same tuples (client chunking leaked into state)"
         )
 
-    # Leg 3: abandon a checkpointed service mid-stream, resume, replay
-    # from the start with *different* chunking.
+    # Leg 3: abandon a checkpointed service mid-stream, resume with a
+    # second batch size, replay from the start with *different* chunking.
+    # The second size holds half the stream, so two batches of backlog
+    # fit every replayed chunk.
+    resumed_config = replace(config, batch_size=max(len(case.lhs) // 2, 1))
     with tempfile.TemporaryDirectory(prefix="repro-push-contract-") as root:
         first = ImplicationService(
             config, profiles={"case": case.conditions}, checkpoint_dir=root
@@ -492,7 +502,7 @@ def _check_serve_push_equivalence(case: StreamCase) -> str | None:
         # The service dies here (no close, buffered stragglers lost) —
         # only committed generations survive.
         resumed = ImplicationService(
-            config, profiles={"case": case.conditions}, checkpoint_dir=root
+            resumed_config, profiles={"case": case.conditions}, checkpoint_dir=root
         )
         if resumed.cursor != first.cursor:
             return (
@@ -1030,28 +1040,31 @@ CONTRACTS: tuple[Contract, ...] = (
     Contract(
         name="resume-single-pass",
         description=(
-            "checkpointed ingest resumed after an interruption — including "
-            "past a corrupted latest generation — equals the uninterrupted "
-            "run bit-for-bit (all condition profiles)"
+            "checkpointed ingest — uninterrupted, resumed under a second "
+            "chunk size, and resumed past a corrupted latest generation — "
+            "equals one update_batch pass bit-for-bit (all condition "
+            "profiles)"
         ),
         check=_check_resume_single_pass,
     ),
     Contract(
         name="serve-snapshot-equivalence",
         description=(
-            "every snapshot the serving loop publishes equals an offline "
-            "single pass over the same stream prefix bit-for-bit, and its "
-            "payload decodes to the served digest (all condition profiles)"
+            "every snapshot the serving loop publishes, at two batch sizes, "
+            "equals one update_batch pass over the same stream prefix "
+            "bit-for-bit, and its payload decodes to the served digest (all "
+            "condition profiles)"
         ),
         check=_check_serve_snapshot_equivalence,
     ),
     Contract(
         name="serve-push-equivalence",
         description=(
-            "a drained push-ingest stream lands bit-for-bit on the digest "
-            "of the equivalent pull-source run — irregular client "
+            "a drained push-ingest stream lands bit-for-bit on one "
+            "update_batch pass over the pushed tuples — irregular client "
             "chunking, backpressure retries, and interrupt/replay resume "
-            "all included (all condition profiles)"
+            "under a second batch size all included (all condition "
+            "profiles)"
         ),
         check=_check_serve_push_equivalence,
     ),

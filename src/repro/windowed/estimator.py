@@ -354,6 +354,9 @@ class WindowedImplicationEstimator:
                     f"generation payload at origin {origin} has incompatible "
                     f"geometry/conditions for this windowed estimator"
                 )
+            # Restored panes keep ingesting: give them this estimator's
+            # backend, not the one decoding resolves from the environment.
+            pane.kernels = self.kernels
             panes.append((origin, pane))
             previous = origin
         self.clock = int(clock)

@@ -29,7 +29,7 @@ from repro.distributed.coordinator import Coordinator
 from repro.engine import ShardedIngestor
 from repro.engine.pool import ShardJob
 from repro.kernels import available_backends
-from repro.recovery import CheckpointManager
+from repro.recovery import CheckpointManager, ingest_checkpointed
 from repro.sketch.hashing import HashFamily, encode_items
 from repro.verify.harness import CONDITION_PROFILES
 from repro.verify.streams import generate_stream
@@ -242,8 +242,8 @@ def test_removed_batch_flags_raise_type_error(flag, tmp_path):
         DecayingImplicationCounter(conditions, half_life=64).update_batch,
         ingestor.ingest,
         ingestor.ingest_payloads,
-        lambda a, b, **flags: ingestor.ingest_checkpointed(
-            a, b, manager=manager, **flags
+        lambda a, b, **flags: ingest_checkpointed(
+            template, a, b, manager=manager, **flags
         ),
         Coordinator(template).ingest_sharded,
     ]

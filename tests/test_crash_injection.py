@@ -32,7 +32,7 @@ def workdir_for(tmp_path, name: str) -> str:
     return str(tmp_path / name)
 
 
-SMALL = RunConfig(tuples=1500, chunk_size=250, num_bitmaps=8, workers=2)
+SMALL = RunConfig(tuples=1500, chunk_size=250, num_bitmaps=8)
 
 
 class TestCrashPoints:
@@ -117,9 +117,7 @@ class TestCrashFuzzTier:
     """Wider nightly sweep: more points, saves skipped, second seed band."""
 
     def test_exhaustive_kill_point_sweep(self, tmp_path):
-        config = RunConfig(
-            tuples=2400, chunk_size=300, num_bitmaps=8, workers=2, every=2
-        )
+        config = RunConfig(tuples=2400, chunk_size=300, num_bitmaps=8, every=2)
         harness = CrashInjectionHarness(
             config, workdir_for(tmp_path, "nightly-every2")
         )
@@ -133,7 +131,6 @@ class TestCrashFuzzTier:
             tuples=2000,
             chunk_size=250,
             num_bitmaps=8,
-            workers=2,
             seed=11,
             profile="skewed",
             theta=0.6,

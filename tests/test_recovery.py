@@ -18,9 +18,15 @@ from repro.core.serialize import (
     estimator_state_digest,
 )
 from repro.distributed.coordinator import Coordinator
-from repro.engine.sharded import ShardedIngestor
+from repro.kernels import available_backends
 from repro.observability import metrics as obs
-from repro.recovery import CheckpointManager, RunConfig, run_checkpointed
+from repro.recovery import (
+    CheckpointManager,
+    RunConfig,
+    ingest_checkpointed,
+    run_checkpointed,
+)
+from repro.recovery.checkpoint import RESIDENT_STATE
 from repro.recovery.cli import main as recovery_cli_main
 from repro.verify.streams import generate_stream
 
@@ -236,37 +242,42 @@ class TestResumableIngest:
         )
         return lhs, rhs, template
 
+    @staticmethod
+    def single_pass(template, lhs, rhs) -> str:
+        single = template.spawn_sibling()
+        single.update_batch(lhs, rhs)
+        return estimator_state_digest(single)
+
     def test_empty_checkpoint_dir_resume_runs_fresh(self, tmp_path):
         lhs, rhs, template = self.make_parts()
         manager = CheckpointManager(tmp_path / "ckpt")
-        merged = ShardedIngestor(template, workers=1).ingest_checkpointed(
-            lhs, rhs, manager=manager, **self.run_config()
+        estimator = ingest_checkpointed(
+            template, lhs, rhs, manager=manager, **self.run_config()
         )
-        single = template.spawn_sibling()
-        single.update_batch(lhs, rhs)
-        # One chunked-merge pass vs one flat pass: merge of sibling chunk
-        # estimators is exact for this stream shape; the meaningful
-        # assertions are that an empty dir starts at zero and completes.
-        assert merged.tuples_seen == len(lhs)
+        # One resident estimator advanced chunk by chunk is the single pass.
+        assert estimator_state_digest(estimator) == self.single_pass(
+            template, lhs, rhs
+        )
+        assert template.tuples_seen == 0  # the template is never mutated
         assert manager.generations() != []
         assert manager.load_latest().cursor == len(lhs)
 
     def test_resume_equals_uninterrupted_bit_for_bit(self, tmp_path):
         lhs, rhs, template = self.make_parts()
         full = CheckpointManager(tmp_path / "full")
-        uninterrupted = ShardedIngestor(template, workers=1).ingest_checkpointed(
-            lhs, rhs, manager=full, **self.run_config()
+        uninterrupted = ingest_checkpointed(
+            template, lhs, rhs, manager=full, **self.run_config()
         )
         part = CheckpointManager(tmp_path / "part")
         _, _, template2 = self.make_parts()
-        ShardedIngestor(template2, workers=1).ingest_checkpointed(
-            lhs[:300], rhs[:300], manager=part, **self.run_config()
+        ingest_checkpointed(
+            template2, lhs[:300], rhs[:300], manager=part, **self.run_config()
         )
         _, _, template3 = self.make_parts()
         obs.reset_registry()
         registry = obs.get_registry()
-        resumed = ShardedIngestor(template3, workers=1).ingest_checkpointed(
-            lhs, rhs, manager=part, **self.run_config()
+        resumed = ingest_checkpointed(
+            template3, lhs, rhs, manager=part, **self.run_config()
         )
         assert estimator_state_digest(resumed) == estimator_state_digest(
             uninterrupted
@@ -274,70 +285,115 @@ class TestResumableIngest:
         assert registry.counter("recovery.resumed_ingests").value == 1
         assert registry.counter("recovery.tuples_skipped").value == 300
 
+    @pytest.mark.parametrize("chunk_size", [7, 64, 250, 1000])
+    def test_resume_under_another_chunk_size_matches_single_pass(
+        self, tmp_path, chunk_size
+    ):
+        """Chunk size is cadence: a checkpoint resumes under any
+        ``chunk_size`` (an off-grid cursor included) and lands on the
+        single pass, on a sticky theta > 0 profile too."""
+        lhs, rhs = generate_stream("float_trigger_dense", seed=2, size=900)
+        template = ImplicationCountEstimator(
+            ImplicationConditions(min_support=2, min_top_confidence=0.6),
+            num_bitmaps=8,
+            seed=2,
+        )
+        manager = CheckpointManager(tmp_path / "ckpt")
+        ingest_checkpointed(
+            template, lhs[:300], rhs[:300], manager=manager, chunk_size=100
+        )
+        resumed = ingest_checkpointed(
+            template, lhs, rhs, manager=manager, chunk_size=chunk_size
+        )
+        assert estimator_state_digest(resumed) == self.single_pass(
+            template, lhs, rhs
+        )
+        assert manager.load_latest().cursor == len(lhs)
+
     def test_resume_with_different_shape_refused(self, tmp_path):
+        """A checkpoint of another kind of run (a serving checkpoint) is
+        refused; chunk size no longer belongs to the shape."""
         lhs, rhs, template = self.make_parts()
         manager = CheckpointManager(tmp_path / "ckpt")
-        ShardedIngestor(template, workers=1).ingest_checkpointed(
-            lhs[:200], rhs[:200], manager=manager, **self.run_config()
+        prefix = ingest_checkpointed(
+            template, lhs[:200], rhs[:200], manager=manager, **self.run_config()
         )
+        shape = manager.load_latest().manifest["extra"]
+        assert shape == {"kind": "checkpointed", "state": RESIDENT_STATE}
+        other = CheckpointManager(tmp_path / "other")
+        other.save(prefix, cursor=200, extra={**shape, "kind": "serving"})
         with pytest.raises(ValueError, match="cannot resume"):
-            ShardedIngestor(template, workers=1).ingest_checkpointed(
-                lhs, rhs, manager=manager, **self.run_config(chunk_size=250)
-            )
-        with pytest.raises(ValueError, match="cannot resume"):
-            ShardedIngestor(template, workers=2).ingest_checkpointed(
-                lhs, rhs, manager=manager, **self.run_config()
+            ingest_checkpointed(
+                template, lhs, rhs, manager=other, **self.run_config()
             )
 
     def test_checkpoint_from_removed_batch_path_refused(self, tmp_path):
-        """Manifests recording ``aggregate``/``grouped`` as ``True`` (what
-        the old order-compressing default wrote) are refused by name; an
-        exact-path manifest resumes bit-for-bit."""
+        """Manifests written by earlier ingest paths — the per-batch merge
+        chain (``chunk_size``/``workers`` in the shape) and the removed
+        pair-aggregation/grouped-dispatch path before it — lack the
+        resident-state marker and are refused by name."""
         lhs, rhs, template = self.make_parts()
-        uninterrupted = ShardedIngestor(template, workers=1).ingest_checkpointed(
-            lhs, rhs, manager=CheckpointManager(tmp_path / "full"), **self.run_config()
+        prefix = ingest_checkpointed(
+            template,
+            lhs[:300],
+            rhs[:300],
+            manager=CheckpointManager(tmp_path / "resident"),
+            **self.run_config(),
         )
-        exact = CheckpointManager(tmp_path / "exact")
-        prefix = ShardedIngestor(template, workers=1).ingest_checkpointed(
-            lhs[:300], rhs[:300], manager=exact, **self.run_config()
-        )
-        shape = exact.load_latest().manifest["extra"]
-        assert (shape["aggregate"], shape["grouped"]) == (False, False)
-        resumed = ShardedIngestor(template, workers=1).ingest_checkpointed(
-            lhs, rhs, manager=exact, **self.run_config()
-        )
-        assert estimator_state_digest(resumed) == estimator_state_digest(
-            uninterrupted
-        )
+        merge_chain = {
+            "kind": "sharded-checkpointed",
+            "chunk_size": 100,
+            "workers": 1,
+            "aggregate": False,
+            "grouped": False,
+        }
+        for name, extra in (
+            ("chain", merge_chain),
+            ("grouped", {**merge_chain, "aggregate": True, "grouped": True}),
+        ):
+            old = CheckpointManager(tmp_path / name)
+            old.save(prefix, cursor=300, epoch={"chunk_index": 2}, extra=extra)
+            with pytest.raises(ValueError, match="per-batch merge chain"):
+                ingest_checkpointed(
+                    template, lhs, rhs, manager=old, **self.run_config()
+                )
 
-        old = CheckpointManager(tmp_path / "old")
-        old.save(
-            prefix,
-            cursor=300,
-            epoch={"chunk_index": 2},
-            extra={**shape, "aggregate": True, "grouped": True},
+    @pytest.mark.skipif(
+        "compiled" not in available_backends(),
+        reason="needs a second kernel backend to tell them apart",
+    )
+    def test_restore_keeps_template_kernel_backend(self, tmp_path, monkeypatch):
+        """Decoding resolves the backend from the environment (auto picks
+        compiled here); the resumed estimator must keep the template's."""
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        lhs, rhs, _ = self.make_parts()
+        template = ImplicationCountEstimator(
+            ImplicationConditions(min_support=2), num_bitmaps=8, kernels="python"
         )
-        with pytest.raises(ValueError, match="removed pair-aggregation"):
-            ShardedIngestor(template, workers=1).ingest_checkpointed(
-                lhs, rhs, manager=old, **self.run_config()
-            )
+        manager = CheckpointManager(tmp_path / "ckpt")
+        ingest_checkpointed(
+            template, lhs[:200], rhs[:200], manager=manager, **self.run_config()
+        )
+        assert manager.load_latest().estimator.kernels.name == "compiled"
+        resumed = ingest_checkpointed(
+            template, lhs, rhs, manager=manager, **self.run_config()
+        )
+        assert resumed.kernels.name == "python"
 
     def test_checkpoint_cursor_beyond_stream_refused(self, tmp_path):
         lhs, rhs, template = self.make_parts()
         manager = CheckpointManager(tmp_path / "ckpt")
-        ShardedIngestor(template, workers=1).ingest_checkpointed(
-            lhs, rhs, manager=manager, **self.run_config()
-        )
+        ingest_checkpointed(template, lhs, rhs, manager=manager, **self.run_config())
         with pytest.raises(ValueError, match="beyond"):
-            ShardedIngestor(template, workers=1).ingest_checkpointed(
-                lhs[:100], rhs[:100], manager=manager, **self.run_config()
+            ingest_checkpointed(
+                template, lhs[:100], rhs[:100], manager=manager, **self.run_config()
             )
 
     def test_every_controls_checkpoint_cadence(self, tmp_path):
         lhs, rhs, template = self.make_parts()
         manager = CheckpointManager(tmp_path / "ckpt", keep=16)
-        ShardedIngestor(template, workers=1).ingest_checkpointed(
-            lhs, rhs, manager=manager, **self.run_config(every=2)
+        ingest_checkpointed(
+            template, lhs, rhs, manager=manager, **self.run_config(every=2)
         )
         # 5 chunks, every=2 -> saves after chunks 2, 4 and the tail.
         cursors = []
@@ -352,18 +408,15 @@ class TestResumableIngest:
     def test_invalid_parameters_rejected(self, tmp_path):
         lhs, rhs, template = self.make_parts()
         manager = CheckpointManager(tmp_path / "ckpt")
-        ingestor = ShardedIngestor(template, workers=1)
         with pytest.raises(ValueError, match="chunk_size"):
-            ingestor.ingest_checkpointed(
-                lhs, rhs, manager=manager, chunk_size=0
-            )
+            ingest_checkpointed(template, lhs, rhs, manager=manager, chunk_size=0)
         with pytest.raises(ValueError, match="every"):
-            ingestor.ingest_checkpointed(
-                lhs, rhs, manager=manager, chunk_size=10, every=0
+            ingest_checkpointed(
+                template, lhs, rhs, manager=manager, chunk_size=10, every=0
             )
         with pytest.raises(ValueError, match="equal shapes"):
-            ingestor.ingest_checkpointed(
-                lhs[:10], rhs[:9], manager=manager, chunk_size=10
+            ingest_checkpointed(
+                template, lhs[:10], rhs[:9], manager=manager, chunk_size=10
             )
 
     def test_checkpoint_metrics_recorded(self, tmp_path):
@@ -371,16 +424,12 @@ class TestResumableIngest:
         registry = obs.get_registry()
         lhs, rhs, template = self.make_parts(size=300)
         manager = CheckpointManager(tmp_path / "ckpt")
-        ShardedIngestor(template, workers=1).ingest_checkpointed(
-            lhs, rhs, manager=manager, **self.run_config()
-        )
+        ingest_checkpointed(template, lhs, rhs, manager=manager, **self.run_config())
         assert registry.counter("checkpoint.saves").value == 3
         assert registry.counter("checkpoint.bytes_written").value > 0
         assert registry.gauge("checkpoint.latest_generation").value == 2.0
         assert registry.histogram("checkpoint.save_seconds").count == 3
-        assert registry.counter("engine.chunks_ingested").value == 3
-        # The retry counter exports as an explicit zero on healthy runs.
-        assert registry.counter("engine.shard_retries").value == 0
+        assert registry.counter("recovery.chunks_ingested").value == 3
 
 
 class TestCoordinatorCheckpoint:
@@ -489,7 +538,7 @@ class TestRecoveryCli:
         with open(metrics_path, "r", encoding="utf-8") as handle:
             metrics = json.load(handle)
         assert metrics["counters"]["checkpoint.saves"] == 2
-        assert "engine.shard_retries" in metrics["counters"]
+        assert metrics["counters"]["recovery.chunks_ingested"] == 2
 
     def test_bad_flag_values_exit_2(self, tmp_path, capsys):
         base = ["checkpoint", "--checkpoint-dir", str(tmp_path / "x")]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -29,9 +30,10 @@ import repro
 from repro.core.conditions import ImplicationConditions
 from repro.core.estimator import ImplicationCountEstimator
 from repro.core.serialize import estimator_state_digest
-from repro.engine import shutdown_runtime
+from repro.kernels import available_backends
 from repro.observability import MetricsRegistry, set_registry
 from repro.recovery import CheckpointManager
+from repro.recovery.checkpoint import RESIDENT_STATE
 from repro.serving import (
     ArraySource,
     ImplicationService,
@@ -45,6 +47,7 @@ from repro.serving import (
 from repro.serving.aio import build_async_server
 from repro.serving.http import build_server
 from repro.serving.sources import PENDING
+from repro.verify.harness import CONDITION_PROFILES
 from repro.verify.streams import generate_stream
 
 SRC_ROOT = Path(repro.__file__).resolve().parents[1]
@@ -113,16 +116,18 @@ class TestSources:
     def test_profile_source_is_deterministic_and_random_access(self):
         source = ProfileSource("skewed", seed=3, batch_size=100, tuples=350)
         again = ProfileSource("skewed", seed=3, batch_size=100, tuples=350)
-        third = source.batch(3)
-        assert len(third[0]) == 50  # short final batch
-        assert source.batch(4) is None
-        # Random access: batch 2 equals batch 2 regardless of order.
-        lhs_a, rhs_a = source.batch(2)
-        lhs_b, rhs_b = again.batch(2)
+        last = source.batch(300)
+        assert len(last[0]) == 50  # short final batch
+        assert source.batch(350) is None
+        # Random access: the batch at tuple 200 is the same in any order.
+        lhs_a, rhs_a = source.batch(200)
+        lhs_b, rhs_b = again.batch(200)
         np.testing.assert_array_equal(lhs_a, lhs_b)
         np.testing.assert_array_equal(rhs_a, rhs_b)
+        # A cursor inside a generated batch answers the rest of it.
+        np.testing.assert_array_equal(source.batch(230)[0], lhs_a[30:])
         # Distinct batches differ (per-batch derived seeds).
-        assert not np.array_equal(source.batch(0)[0], source.batch(1)[0])
+        assert not np.array_equal(source.batch(0)[0], source.batch(100)[0])
 
     def test_profile_source_infinite_without_tuples(self):
         source = ProfileSource("uniform", batch_size=10)
@@ -131,9 +136,10 @@ class TestSources:
     def test_array_source_slices_absolutely(self):
         lhs, rhs = generate_stream("uniform", 1, 25)
         source = ArraySource(lhs, rhs, batch_size=10)
-        np.testing.assert_array_equal(source.batch(1)[0], lhs[10:20])
-        assert len(source.batch(2)[0]) == 5
-        assert source.batch(3) is None
+        np.testing.assert_array_equal(source.batch(10)[0], lhs[10:20])
+        np.testing.assert_array_equal(source.batch(13)[1], rhs[13:23])
+        assert len(source.batch(20)[0]) == 5
+        assert source.batch(25) is None
 
     def test_array_source_description_is_content_addressed(self):
         lhs, rhs = generate_stream("uniform", 1, 25)
@@ -158,10 +164,8 @@ class TestSources:
         source = make_source("push:capacity=3", batch_size=10)
         assert isinstance(source, PushSource)
         assert source.capacity_tuples == 30
-        assert make_source("push").describe() == {
-            "kind": "push",
-            "batch_size": 4096,
-        }
+        # Batch size is cadence for a push stream, not data identity.
+        assert make_source("push").describe() == {"kind": "push"}
         with pytest.raises(ValueError, match="--tuples"):
             make_source("push", tuples=100)
         with pytest.raises(ValueError, match="unknown push"):
@@ -180,18 +184,18 @@ class TestPushSource:
         source.push(_column([1, 2, 3, 4, 5, 6]), _column([101, 102, 103, 104, 105, 106]))
         source.push(_column([7]), _column([107]))
         assert source.batch(0)[0].tolist() == [0, 1, 2, 3]
-        assert source.batch(1)[1].tolist() == [104, 105, 106, 107]
-        assert source.batch(2) is PENDING  # live stream, nothing buffered
+        assert source.batch(4)[1].tolist() == [104, 105, 106, 107]
+        assert source.batch(8) is PENDING  # live stream, nothing buffered
         source.close()
-        assert source.batch(2) is None
+        assert source.batch(8) is None
 
     def test_trailing_partial_batch_drains_after_close(self):
         source = PushSource(batch_size=4)
         source.push(_column([1, 2, 3, 4, 5, 6]), _column([1, 2, 3, 4, 5, 6]))
         assert len(source.batch(0)[0]) == 4
         source.close()
-        assert source.batch(1)[0].tolist() == [5, 6]
-        assert source.batch(2) is None
+        assert source.batch(4)[0].tolist() == [5, 6]
+        assert source.batch(6) is None
 
     def test_backpressure_is_atomic(self):
         source = PushSource(batch_size=4, capacity_batches=1)
@@ -213,7 +217,8 @@ class TestPushSource:
         with pytest.raises(ValueError, match="monotone"):
             source.batch(0)  # re-reading a consumed batch
         with pytest.raises(ValueError, match="monotone"):
-            source.batch(5)  # skipping ahead
+            source.batch(3)  # skipping ahead
+        assert source.batch(2)[0].tolist() == [3, 4]
 
     def test_push_validation(self):
         source = PushSource(batch_size=4)
@@ -245,21 +250,31 @@ class TestPushSource:
 
     def test_resume_swallows_committed_prefix(self):
         source = PushSource(batch_size=4)
-        source.resume_at(8, 2)
+        source.resume_at(8)
         source.push(_column(range(10)), _column(range(10)))
         assert source.skipped_tuples == 8
         assert source.pushed_tuples == 2
         source.close()
-        assert source.batch(2)[0].tolist() == [8, 9]
+        assert source.batch(8)[0].tolist() == [8, 9]
 
-    def test_resume_rejects_off_grid_cursor(self):
+    def test_resume_off_grid_cursor_hands_out_full_batches(self):
+        """A cursor is any tuple count: a checkpoint written at another
+        batch size resumes mid-grid and the source carves full batches
+        from there."""
         source = PushSource(batch_size=4)
-        with pytest.raises(ValueError, match="grid"):
-            source.resume_at(6, 1)
-        used = PushSource(batch_size=4)
-        used.push(_column([1]), _column([1]))
-        with pytest.raises(ValueError, match="already served"):
-            used.resume_at(4, 1)
+        source.resume_at(6)
+        source.push(_column(range(12)), _column(range(12)))
+        assert source.batch(6)[0].tolist() == [6, 7, 8, 9]
+        source.close()
+        assert source.batch(10)[0].tolist() == [10, 11]
+        assert source.batch(12) is None
+
+    def test_resume_refused_on_a_source_that_already_served(self):
+        for resume in ("resume_at", "resume_drained"):
+            used = PushSource(batch_size=4)
+            used.push(_column([1]), _column([1]))
+            with pytest.raises(ValueError, match="already served"):
+                getattr(used, resume)(4)
 
     def test_rejected_push_leaves_resume_skip_intact(self):
         """A 429'd push must be atomic *including* the resume-skip state —
@@ -267,7 +282,7 @@ class TestPushSource:
         so the client's subsequent (split) retries re-buffered tuples the
         interrupted run had already ingested."""
         source = PushSource(batch_size=4, capacity_batches=1)
-        source.resume_at(8, 2)
+        source.resume_at(8)
         # One chunk straddling the resume boundary, too big to buffer:
         # 8 skipped + 5 kept > the 4-tuple capacity.
         with pytest.raises(PushBacklogFull):
@@ -279,25 +294,16 @@ class TestPushSource:
         assert source.push(_column(range(8)), _column(range(8))) == 0
         assert source.push(_column(range(8, 12)), _column(range(8, 12))) == 4
         assert source.skipped_tuples == 8
-        assert source.batch(2)[0].tolist() == [8, 9, 10, 11]
+        assert source.batch(8)[0].tolist() == [8, 9, 10, 11]
 
     def test_resume_drained_restores_closed_tail(self):
         source = PushSource(batch_size=4)
-        source.resume_drained(6, 2)  # off-grid: the closed stream's tail
+        source.resume_drained(6)  # the closed stream ended at tuple 6
         assert source.closed
         assert source.end_of_stream
-        assert source.batch(2) is None  # serves as drained, no replay
+        assert source.batch(6) is None  # serves as drained, no replay
         with pytest.raises(ValueError, match="close"):
             source.push(_column([1]), _column([1]))
-
-    def test_resume_drained_rejects_impossible_tails(self):
-        for cursor, batch_index in ((4, 2), (9, 2), (1, 0), (-1, 0)):
-            with pytest.raises(ValueError, match="tail"):
-                PushSource(batch_size=4).resume_drained(cursor, batch_index)
-        used = PushSource(batch_size=4)
-        used.push(_column([1]), _column([1]))
-        with pytest.raises(ValueError, match="already served"):
-            used.resume_drained(4, 1)
 
     def test_end_of_stream_only_after_close_and_drain(self):
         source = PushSource(batch_size=4)
@@ -306,7 +312,7 @@ class TestPushSource:
         source.close()
         assert not source.end_of_stream  # two batches still buffered
         source.batch(0)
-        source.batch(1)  # the short tail
+        source.batch(4)  # the short tail
         assert source.end_of_stream
 
 
@@ -320,8 +326,6 @@ class TestServiceCore:
             ServeConfig(batch_size=0)
         with pytest.raises(ValueError):
             ServeConfig(publish_every=0)
-        with pytest.raises(ValueError):
-            ServeConfig(workers=0)
 
     def test_initial_publish_before_first_batch(self, registry):
         service = ImplicationService(
@@ -351,6 +355,23 @@ class TestServiceCore:
             assert snapshot.digest == estimator_state_digest(reference)
         assert service.store.status == "drained"
         assert service.cursor == 900
+
+    def test_drained_uniform_stream_matches_single_pass(self, registry):
+        """The served state is one plain single pass: on this stream the
+        per-batch merge chain drained to a different digest."""
+        lhs, rhs = generate_stream("uniform", seed=0, size=2048)
+        service = ImplicationService(
+            ServeConfig(batch_size=256, num_bitmaps=4, seed=0),
+            source=ArraySource(lhs, rhs, batch_size=256),
+            profiles={"support-only": dict(CONDITION_PROFILES)["support-only"]},
+        )
+        while service.ingest_step():
+            pass
+        single = service.templates["support-only"].spawn_sibling()
+        single.update_batch(lhs, rhs)
+        snapshot = service.store.get("support-only")
+        assert snapshot.cursor == 2048
+        assert snapshot.digest == estimator_state_digest(single)
 
     def test_publish_every_batches_cadence(self, registry):
         lhs, rhs = generate_stream("uniform", 3, 500)
@@ -420,40 +441,128 @@ class TestDurability:
     def test_resume_refuses_checkpoint_without_exact_batch_path(
         self, registry, tmp_path
     ):
-        """Every serving checkpoint written before batch ingest became
-        exact replay lacks ``batch_path``; resume refuses it by name, while
-        an exact-path checkpoint resumes to the uninterrupted digest."""
+        """Serving checkpoints without the resident-state marker are
+        refused by name: those written before batch ingest became exact
+        replay (no ``batch_path``) and those the per-batch merge chain
+        wrote (``batch_path: exact``) — a merged state no single pass
+        continues."""
         config = ServeConfig(
             source="profile:skewed", tuples=600, batch_size=150, num_bitmaps=8
         )
-        uninterrupted = ImplicationService(config)
-        while uninterrupted.ingest_step():
-            pass
-        want = uninterrupted.store.get(uninterrupted.primary).digest
-
-        exact_dir, old_dir = tmp_path / "exact", tmp_path / "old"
-        first = ImplicationService(config, checkpoint_dir=str(exact_dir))
-        first.ingest_step()
+        first = ImplicationService(config, checkpoint_dir=str(tmp_path / "new"))
         first.ingest_step()
         restored = first.manager.load_latest()
-        assert restored.manifest["extra"]["batch_path"] == "exact"
-        resumed = ImplicationService(config, checkpoint_dir=str(exact_dir))
+        assert restored.manifest["extra"]["state"] == RESIDENT_STATE
+        old_shape = {
+            key: value
+            for key, value in restored.manifest["extra"].items()
+            if key != "state"
+        }
+        old_shape.update(batch_size=150, workers=1)
+        for name, extra in (
+            ("old", old_shape),
+            ("chain", {**old_shape, "batch_path": "exact"}),
+        ):
+            CheckpointManager(str(tmp_path / name)).save(
+                restored.estimator,
+                cursor=restored.cursor,
+                epoch=restored.manifest["epoch"],
+                extra=extra,
+                attachments=restored.attachments,
+            )
+            with pytest.raises(ValueError, match="per-batch merge chain"):
+                ImplicationService(config, checkpoint_dir=str(tmp_path / name))
+
+    def test_resume_under_another_batch_size_matches_single_pass(
+        self, registry, tmp_path
+    ):
+        """Batch size is cadence: an array-source checkpoint resumes under
+        a different ``batch_size`` and drains to the single pass."""
+        lhs, rhs = generate_stream("float_trigger_dense", 3, 700)
+        profiles = {
+            "case": ImplicationConditions(min_support=2, min_top_confidence=0.6)
+        }
+
+        def service(batch_size: int) -> ImplicationService:
+            return ImplicationService(
+                ServeConfig(batch_size=batch_size, num_bitmaps=8, seed=3),
+                source=ArraySource(lhs, rhs, batch_size=batch_size),
+                profiles=profiles,
+                checkpoint_dir=str(tmp_path),
+            )
+
+        first = service(150)
+        first.ingest_step()
+        first.ingest_step()
+        resumed = service(64)
         assert resumed.cursor == 300
         while resumed.ingest_step():
             pass
-        assert resumed.store.get(resumed.primary).digest == want
-
-        old_shape = dict(restored.manifest["extra"])
-        del old_shape["batch_path"]
-        CheckpointManager(str(old_dir)).save(
-            restored.estimator,
-            cursor=restored.cursor,
-            epoch=restored.manifest["epoch"],
-            extra=old_shape,
-            attachments=restored.attachments,
+        reference = offline_reference(resumed.templates["case"], lhs, rhs)
+        assert resumed.store.get("case").digest == estimator_state_digest(
+            reference
         )
-        with pytest.raises(ValueError, match="predates exact batch replay"):
-            ImplicationService(config, checkpoint_dir=str(old_dir))
+
+    def test_push_resume_under_another_batch_size_matches_single_pass(
+        self, registry, tmp_path
+    ):
+        lhs, rhs = generate_stream("skewed", 8, 600)
+        profiles = {"case": small_conditions()}
+
+        def service(batch_size: int) -> ImplicationService:
+            return ImplicationService(
+                ServeConfig(
+                    source="push:capacity=8", batch_size=batch_size,
+                    num_bitmaps=8,
+                ),
+                profiles=profiles,
+                checkpoint_dir=str(tmp_path),
+            )
+
+        first = service(64)
+        first.source.push(lhs[:256], rhs[:256])
+        while first.source.pending_tuples:
+            first.ingest_step()
+        assert first.cursor == 256
+        resumed = service(100)
+        assert resumed.cursor == 256
+        resumed.source.push(lhs, rhs)  # the client replays from the start
+        resumed.source.close()
+        while resumed.ingest_step():
+            pass
+        assert resumed.source.skipped_tuples == 256
+        reference = offline_reference(resumed.templates["case"], lhs, rhs)
+        assert resumed.store.get("case").digest == estimator_state_digest(
+            reference
+        )
+
+    @pytest.mark.skipif(
+        "compiled" not in available_backends(),
+        reason="needs a second kernel backend to tell them apart",
+    )
+    def test_restore_keeps_configured_kernel_backend(
+        self, registry, tmp_path, monkeypatch
+    ):
+        """Decoding resolves the backend from the environment (auto picks
+        compiled here); restored estimators keep ingesting, so they must
+        take the configured one instead."""
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        config = ServeConfig(
+            source="profile:skewed", tuples=600, batch_size=150,
+            num_bitmaps=8, kernels="python", window=200,
+            profiles=("support-only", "noisy-confidence"),
+        )
+        first = ImplicationService(config, checkpoint_dir=str(tmp_path))
+        first.ingest_step()
+        resumed = ImplicationService(config, checkpoint_dir=str(tmp_path))
+        assert resumed.cursor == 150
+        for estimator in resumed.estimators.values():
+            assert estimator.kernels.name == "python"
+        for windowed in resumed.windowed.values():
+            assert windowed._panes
+            assert {pane.kernels.name for _, pane in windowed._panes} == {
+                "python"
+            }
 
     def test_resume_rejects_mismatched_shape(self, registry, tmp_path):
         config = ServeConfig(
@@ -1091,12 +1200,10 @@ class TestServeSubprocess:
             sys.executable, "-m", "repro.cli", "serve",
             "--source", "profile:skewed", "--tuples", "30000",
             "--batch-size", "2048", "--num-bitmaps", "8",
-            "--checkpoint-dir", str(ckdir), "--workers", "2",
+            "--checkpoint-dir", str(ckdir),
             "--profiles", "support-only,noisy-confidence", *extra,
         ]
         env = {"PYTHONPATH": str(SRC_ROOT), "PATH": "/usr/bin:/bin"}
-        import os
-
         env.update({k: v for k, v in os.environ.items() if k not in env})
         proc = subprocess.Popen(
             command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -1130,6 +1237,38 @@ class TestServeSubprocess:
         stopped = json.loads(out.strip().splitlines()[-1])
         assert stopped["status"] == "stopped"
         assert stopped["cursor"] > 0
+        assert "Traceback" not in err, err
+
+    def test_asyncio_sigterm_with_idle_keep_alive_connection(self, tmp_path):
+        """An idle keep-alive client at SIGTERM must not print a
+        traceback — the regression was a CancelledError traceback from
+        the connection handler parked in readline()."""
+        command = [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--frontend", "asyncio", "--source", "push",
+            "--num-bitmaps", "8", "--profiles", "support-only",
+        ]
+        env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))
+        proc = subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env, text=True,
+        )
+        try:
+            listening = json.loads(proc.stdout.readline())
+            with socket.create_connection(
+                ("127.0.0.1", listening["port"]), timeout=30
+            ) as sock:
+                sock.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+                # The connection stays open and idle across the SIGTERM.
+                proc.send_signal(signal.SIGTERM)
+                out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+        assert json.loads(out.strip().splitlines()[-1])["event"] == "stopped"
         assert "Traceback" not in err, err
 
     def test_sigterm_resume_reaches_uninterrupted_digest(self, tmp_path):
@@ -1170,11 +1309,10 @@ class TestServeSubprocess:
         # The resumed digest must equal an uninterrupted run's.
         config = ServeConfig(
             source="profile:skewed", tuples=30000, batch_size=2048,
-            num_bitmaps=8, workers=2, profiles=("support-only", "noisy-confidence"),
+            num_bitmaps=8, profiles=("support-only", "noisy-confidence"),
         )
         reference = ImplicationService(config)
         while reference.ingest_step():
             pass
         want = reference.store.get("support-only").digest
-        shutdown_runtime()
         assert final["digest"] == want

@@ -318,17 +318,15 @@ class TestPersistentPool:
         again = ShardedIngestor(template, workers=3).ingest(data.lhs, data.rhs)
         assert again.to_bytes() == clean.to_bytes()
 
-    def test_template_ships_once_per_worker_across_chunks(self, registry, tmp_path):
-        """The sibling payload crosses the boundary once per worker per
-        epoch — chunked checkpointed ingest must not re-ship it per job."""
-        from repro.recovery.checkpoint import CheckpointManager
-
+    def test_template_ships_once_per_worker_across_chunks(self, registry):
+        """The sibling payload crosses the boundary once per worker — a
+        chunked ingest (one ``ingest_payloads`` call per chunk) must not
+        re-ship it per job."""
         _fresh_runtime()
         lhs, rhs, template = make_profile_stream("uniform", size=1200)
-        manager = CheckpointManager(str(tmp_path / "ckpt"), keep=3)
-        ShardedIngestor(template, workers=2).ingest_checkpointed(
-            lhs, rhs, manager=manager, chunk_size=300
-        )
+        ingestor = ShardedIngestor(template, workers=2)
+        for start in range(0, len(lhs), 300):
+            ingestor.ingest_payloads(lhs[start : start + 300], rhs[start : start + 300])
         ships = registry.counter("pool.template_ships").value
         hits = registry.counter("pool.template_hits").value
         jobs = registry.counter("sharded.jobs").value

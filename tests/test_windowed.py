@@ -36,7 +36,6 @@ import pytest
 from repro.core.conditions import ImplicationConditions
 from repro.core.estimator import ImplicationCountEstimator
 from repro.core.serialize import estimator_state_digest
-from repro.engine import shutdown_runtime
 from repro.kernels import available_backends
 from repro.observability import MetricsRegistry, set_registry
 from repro.serving.http import build_server
@@ -676,7 +675,6 @@ def _serve_config(**overrides) -> ServeConfig:
         tuples=6000,
         batch_size=512,
         num_bitmaps=8,
-        workers=1,
         profiles=("support-only", "noisy-confidence"),
         publish_every=2,
         window=2048,
@@ -841,7 +839,7 @@ class TestServeSubprocessWindowed:
             sys.executable, "-m", "repro.cli", "serve",
             "--source", "profile:skewed", "--tuples", "30000",
             "--batch-size", "2048", "--num-bitmaps", "8",
-            "--checkpoint-dir", str(ckdir), "--workers", "2",
+            "--checkpoint-dir", str(ckdir),
             "--profiles", "support-only,noisy-confidence",
             "--window", "8192", "--window-generations", "4", *extra,
         ]
@@ -902,7 +900,7 @@ class TestServeSubprocessWindowed:
         # The resumed windowed digest must equal an uninterrupted run's.
         config = ServeConfig(
             source="profile:skewed", tuples=30000, batch_size=2048,
-            num_bitmaps=8, workers=2,
+            num_bitmaps=8,
             profiles=("support-only", "noisy-confidence"),
             window=8192, window_generations=4,
         )
@@ -910,6 +908,5 @@ class TestServeSubprocessWindowed:
         while reference.ingest_step():
             pass
         want = reference.store.get("support-only").window["digest"]
-        shutdown_runtime()
         assert final["window_digest"] == want
         assert final["digest"] == reference.store.get("support-only").digest
