@@ -28,8 +28,8 @@ Five legs, one process tree:
 
 Latencies are recorded into per-client bucketed histograms
 (:class:`repro.observability.metrics.MetricsRegistry`) and folded with
-``merge_snapshot`` — the same validated fold the engine uses for worker
-telemetry — so p50/p99 come from :meth:`Histogram.quantile`.
+``merge_snapshot`` — the same validated fold a restore uses for
+checkpointed telemetry — so p50/p99 come from :meth:`Histogram.quantile`.
 
 Writes a schema-v2 ``BENCH_serving.json`` (host metadata: core count,
 python/numpy versions — read the 1-core caveat in EXPERIMENTS.md before

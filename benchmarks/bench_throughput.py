@@ -6,7 +6,6 @@ worst-case and O(1) for Zone-1 hits.  Compares:
 
 * NIPS/CI scalar updates (hash + zone check per tuple),
 * NIPS/CI vectorized batch updates (Zone-1 filter, exact per-row replay),
-* sharded ingest-then-merge across worker processes,
 * exact hash-table counting,
 * Distinct Sampling and ILC updates.
 
@@ -27,7 +26,6 @@ from repro.baselines.exact import ExactImplicationCounter
 from repro.baselines.lossy_counting import ImplicationLossyCounting
 from repro.core.estimator import ImplicationCountEstimator
 from repro.datasets.synthetic import generate_dataset_one
-from repro.engine import ShardedIngestor, available_workers
 from repro.experiments import (
     run_kernel_speedup,
     run_throughput,
@@ -71,38 +69,17 @@ def test_nips_batch_updates(benchmark, stream):
     assert estimator.tuples_seen == len(lhs)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_nips_sharded_ingest(benchmark, stream, workers):
-    """Shard, ingest in worker processes, ship back, merge."""
-    lhs = stream.lhs
-    rhs = stream.rhs
-    template = ImplicationCountEstimator(stream.conditions, seed=1)
-
-    def ingest():
-        return ShardedIngestor(template, workers=workers).ingest(lhs, rhs)
-
-    estimator = benchmark(ingest)
-    assert estimator.tuples_seen == len(lhs)
-
-
 def test_throughput_json_artifact(stream):
     """Emit BENCH_throughput.json (schema v2) at the repo root.
 
     Entries are per-path tuples/sec plus per-backend batch-engine rates
     (``kernels-python`` / ``kernels-compiled``); the ``host`` block labels
     the run (core count, hostname hash, versions, backend) so numbers
-    from constrained hosts — like the 1-core box whose inverted sharded
-    entries shipped in the v1 artifact — read as what they are.
+    from constrained hosts read as what they are.
     """
     result, table = run_throughput(cardinality=2000, seed=0)
     entries = result.as_dict()
-    assert set(entries) >= {
-        "scalar",
-        "batch",
-        "sharded-1",
-        "sharded-2",
-        "sharded-4",
-    }
+    assert set(entries) == {"scalar", "batch", "exact"}
     for backend, tps in run_kernel_speedup(cardinality=2000, seed=0).items():
         entries[f"kernels-{backend}"] = tps
     assert all(tps > 0 for tps in entries.values())
@@ -129,33 +106,6 @@ def test_kernel_speedup_smoke():
     assert speeds["compiled"] >= 2.0 * speeds["python"], (
         f"compiled kernel lost its edge: {speeds['compiled']:,.0f} vs "
         f"python {speeds['python']:,.0f} tuples/s"
-    )
-
-
-@pytest.mark.skipif(
-    available_workers() < 4,
-    reason="sharded scaling needs >= 4 schedulable cores",
-)
-def test_sharded_scaling_smoke(stream):
-    """The inversion regression gate: more workers must not be slower.
-
-    With the persistent runtime, dispatch cost is per-batch (one stream
-    publication, templates cached per worker), so on a machine with at
-    least 4 schedulable cores sharded-4 must beat sharded-1.  Best-of
-    timing inside :func:`run_throughput` absorbs the one-time pool warmup
-    (the first run spawns workers; later runs reuse them).
-    """
-    result, table = run_throughput(cardinality=2000, seed=0)
-    tps = dict(result.sharded_tps)
-    print()
-    print(table)
-    assert tps[4] > tps[1], (
-        f"sharded scaling inverted: 4 workers at {tps[4]:,.0f} tuples/s "
-        f"vs 1 worker at {tps[1]:,.0f} tuples/s"
-    )
-    assert tps[2] > 0.5 * tps[1], (
-        f"sharded-2 collapsed: {tps[2]:,.0f} tuples/s vs sharded-1 at "
-        f"{tps[1]:,.0f} tuples/s"
     )
 
 

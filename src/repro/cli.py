@@ -134,14 +134,6 @@ def main(argv: list[str] | None = None) -> int:
         help="OLAP workload for figure7 (default: A)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        metavar="N",
-        help="worker counts for the sharded throughput path (default: 1 2 4)",
-    )
-    parser.add_argument(
         "--bench-json",
         metavar="PATH",
         default=None,
@@ -165,13 +157,10 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "write the observability metrics collected during the "
-            "throughput run (engine/coordinator/serialize counters, "
-            "per-shard timings) as JSON to PATH"
+            "throughput run (ingest/serialize counters) as JSON to PATH"
         ),
     )
     args = parser.parse_args(argv)
-    if any(workers < 1 for workers in args.workers):
-        parser.error("--workers values must be >= 1")
     for option in ("bench_json", "metrics_json"):
         target = getattr(args, option)
         if target:
@@ -185,9 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.metrics_json:
             # A fresh registry scopes the export to this run alone.
             obs.reset_registry()
-        result, table = run_throughput(
-            sharded_workers=tuple(args.workers), kernels=args.kernels
-        )
+        result, table = run_throughput(kernels=args.kernels)
         if args.bench_json:
             write_throughput_artifact(
                 args.bench_json,

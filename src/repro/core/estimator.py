@@ -36,7 +36,7 @@ from ..kernels.backend import resolve as resolve_kernels
 from ..observability import metrics as obs
 from ..sketch.bitops import HASH_BITS, least_significant_bit, least_significant_bit_array
 from ..sketch.fm import pcsa_scale
-from ..sketch.hashing import HashFamily, HashFunction, coerce_encoded
+from ..sketch.hashing import HashFamily, HashFunction, coerce_columns
 from .conditions import ImplicationConditions
 from .nips import DEFAULT_CAPACITY_SLACK, DEFAULT_FRINGE_SIZE, NIPSBitmap
 
@@ -227,12 +227,7 @@ class ImplicationCountEstimator:
         effect depend on where it falls in the stream, so no reordering or
         coalescing of rows is safe.
         """
-        lhs = coerce_encoded(lhs)
-        rhs = coerce_encoded(rhs)
-        if lhs.shape != rhs.shape:
-            raise ValueError(
-                f"lhs and rhs must have equal shapes, got {lhs.shape} vs {rhs.shape}"
-            )
+        lhs, rhs = coerce_columns(lhs, rhs)
         self.tuples_seen += len(lhs)
         if len(lhs) == 0:
             return

@@ -70,8 +70,6 @@ class Coordinator:
         #: Rejections from node names beyond the tracking cap — counted
         #: here in aggregate instead of per-name.
         self.rejections_dropped = 0
-        #: Monotonic epoch for :meth:`ingest_sharded` shard namespacing.
-        self._ingest_epoch = 0
 
     def receive(self, node_name: str, payload: bytes) -> bool:
         """Validate and store a node's latest snapshot.
@@ -128,53 +126,20 @@ class Coordinator:
         for node in nodes:
             self.receive(node.name, node.snapshot())
 
-    def ingest_sharded(
-        self,
-        lhs,
-        rhs,
-        workers: int = 1,
-        *,
-        job_timeout: float | None = None,
-    ) -> None:
-        """Ingest a local stream through the sharded engine.
-
-        Splits the columns across ``workers`` processes with
-        :class:`repro.engine.ShardedIngestor` (each shard a sibling of this
-        coordinator's template) and registers every shard snapshot via
-        :meth:`receive` — an in-machine shard farm and a fleet of remote
-        nodes are interchangeable aggregation sources.
-
-        Every call gets its own epoch in the shard namespace
-        (``ingest-3/shard-0``), so repeated calls *accumulate* streams
-        instead of silently replacing the previous call's snapshots under
-        the latest-snapshot-per-node rule.  ``job_timeout`` passes straight
-        through to the ingestor.
-        """
-        from ..engine import ShardedIngestor
-
-        epoch = self._ingest_epoch
-        self._ingest_epoch += 1
-        ingestor = ShardedIngestor(
-            self.template, workers=workers, job_timeout=job_timeout
-        )
-        for shard_name, payload in ingestor.ingest_payloads(lhs, rhs):
-            self.receive(f"ingest-{epoch}/{shard_name}", payload)
-
     def checkpoint(self, manager, *, cursor: int = 0, extra: dict | None = None):
         """Commit the coordinator's full state as one checkpoint generation.
 
         The merged estimator is the generation's payload; every node's
         latest accepted snapshot rides along as a checksummed attachment,
-        and the manifest's ``extra`` records the ingest epoch, byte
-        accounting and quarantine bookkeeping — everything
-        :meth:`restore` needs to rebuild this coordinator after a crash,
-        including the ability to keep folding in *new* node snapshots
-        (which a merged-only checkpoint could not support).
+        and the manifest's ``extra`` records the byte accounting and
+        quarantine bookkeeping — everything :meth:`restore` needs to
+        rebuild this coordinator after a crash, including the ability to
+        keep folding in *new* node snapshots (which a merged-only
+        checkpoint could not support).
         """
         merged = self.merged_estimator()
         payload_extra = {
             "kind": "coordinator",
-            "ingest_epoch": self._ingest_epoch,
             "bytes_received": self.bytes_received,
             "rejected_payloads": dict(self.rejected_payloads),
             "rejection_reasons": dict(self.rejection_reasons),
@@ -184,7 +149,6 @@ class Coordinator:
         return manager.save(
             merged,
             cursor=cursor,
-            epoch={"ingest_epoch": self._ingest_epoch},
             extra=payload_extra,
             attachments=dict(self._latest),
         )
@@ -199,6 +163,8 @@ class Coordinator:
         checksums catch is rejected by the loader, and one that decodes
         but no longer merges is quarantined exactly like a live bad
         message — restore can degrade a node, never poison the merge.
+        Manifest fields this version does not read, such as the
+        ``ingest_epoch`` older coordinators recorded, are ignored.
         """
         restored = manager.load_latest(template=self.template)
         if restored is None:
@@ -212,7 +178,6 @@ class Coordinator:
         # receive() re-accumulated byte counts; the manifest's figures are
         # the authoritative pre-crash totals.
         self.bytes_received = int(extra.get("bytes_received", self.bytes_received))
-        self._ingest_epoch = int(extra.get("ingest_epoch", 0))
         recorded_rejections = extra.get("rejected_payloads", {})
         if isinstance(recorded_rejections, dict):
             for node_name, count in recorded_rejections.items():

@@ -24,7 +24,7 @@ __all__ = ["StreamNode"]
 
 
 class StreamNode:
-    """One observation point (router line card, sensor, shard worker).
+    """One observation point (router line card, sensor).
 
     Parameters
     ----------

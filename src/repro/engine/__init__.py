@@ -1,24 +1,11 @@
-"""Batch ingest engine: parallel shard-and-merge ingestion on one machine.
+"""Bulk ingest engine: one exact in-process pass per stream.
 
-The single-core path lives in
-:meth:`repro.core.estimator.ImplicationCountEstimator.update_batch`
-(Zone-1 filter, then exact per-row replay); this package scales it
-across cores by reusing the distributed split/ship/merge machinery
-locally.
-Execution runs on a persistent shard-worker runtime
-(:mod:`repro.engine.pool`): processes are spawned once and reused, the
-stream is published once per ingest epoch over shared memory, and shard
-jobs carry only ``(offset, length)`` spans.
+:class:`ShardedIngestor` runs one
+:meth:`repro.core.estimator.ImplicationCountEstimator.update_batch` pass
+(Zone-1 filter, then exact per-row replay) over a fresh sibling of its
+template.  DESIGN.md §10 records why no multi-process split remains.
 """
 
-from .pool import WorkerRuntime, get_runtime, shutdown_runtime
-from .sharded import ShardedIngestor, ShardFailure, available_workers
+from .sharded import ShardedIngestor
 
-__all__ = [
-    "ShardedIngestor",
-    "ShardFailure",
-    "available_workers",
-    "WorkerRuntime",
-    "get_runtime",
-    "shutdown_runtime",
-]
+__all__ = ["ShardedIngestor"]

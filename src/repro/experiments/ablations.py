@@ -347,43 +347,35 @@ class ThroughputResult:
 
     scalar_tps: float
     batch_tps: float
-    sharded_tps: tuple[tuple[int, float], ...]
     exact_tps: float
 
     def as_dict(self) -> dict[str, float]:
         """Flat machine-readable form (the BENCH_throughput.json schema)."""
-        payload = {
+        return {
             "scalar": self.scalar_tps,
             "batch": self.batch_tps,
             "exact": self.exact_tps,
         }
-        for workers, tps in self.sharded_tps:
-            payload[f"sharded-{workers}"] = tps
-        return payload
 
 
 def run_throughput(
     cardinality: int = 2000,
     seed: int = 0,
-    sharded_workers: tuple[int, ...] = (1, 2, 4),
     repeats: int = 3,
     kernels: str | None = None,
 ) -> tuple[ThroughputResult, str]:
     """Tuples/second of every ingest path on the Dataset-1 workload.
 
     Paths: the scalar per-tuple loop, the vectorized batch path
-    (:meth:`~ImplicationCountEstimator.update_batch`), the sharded
-    ingest-then-merge engine at each worker count in ``sharded_workers``,
-    and the exact hash-table counter.  Every
-    path reports its best of ``repeats`` runs (each run on a fresh
-    estimator), which filters scheduler noise and one-time numpy warmup.
+    (:meth:`~ImplicationCountEstimator.update_batch`) and the exact
+    hash-table counter.  Every path reports its best of ``repeats`` runs
+    (each run on a fresh estimator), which filters scheduler noise and
+    one-time numpy warmup.
 
     ``kernels`` selects the batch-ingest backend for every estimator path
     (see :mod:`repro.kernels.backend`); the scalar loop and the exact
     counter are backend-independent.
     """
-    from ..engine import ShardedIngestor
-
     data = generate_dataset_one(cardinality, cardinality // 2, c=2, seed=seed)
     tuples = len(data.lhs)
 
@@ -413,30 +405,18 @@ def run_throughput(
         ).update_batch(data.lhs, data.rhs)
     )
 
-    template = ImplicationCountEstimator(data.conditions, seed=seed)
-    sharded_tps = []
-    for workers in sharded_workers:
-        ingestor = ShardedIngestor(template, workers=workers, kernels=kernels)
-        sharded_tps.append(
-            (workers, best_tps(lambda: ingestor.ingest(data.lhs, data.rhs)))
-        )
-
     exact_tps = best_tps(
         lambda: ExactImplicationCounter(data.conditions).update_batch(
             data.lhs, data.rhs
         )
     )
 
-    result = ThroughputResult(scalar_tps, batch_tps, tuple(sharded_tps), exact_tps)
+    result = ThroughputResult(scalar_tps, batch_tps, exact_tps)
     rows = [
         ("NIPS/CI scalar", f"{scalar_tps:,.0f}"),
         ("NIPS/CI batch", f"{batch_tps:,.0f}"),
+        ("exact hash tables", f"{exact_tps:,.0f}"),
     ]
-    rows.extend(
-        (f"NIPS/CI sharded x{workers}", f"{tps:,.0f}")
-        for workers, tps in sharded_tps
-    )
-    rows.append(("exact hash tables", f"{exact_tps:,.0f}"))
     table = format_table(
         ("path", "tuples/s"),
         rows,
@@ -486,9 +466,9 @@ BENCH_SCHEMA_VERSION = 2
 def bench_host_metadata(kernel_backend: str | None = None) -> dict:
     """Host descriptor attached to every benchmark artifact (schema v2).
 
-    Labels *where* a number came from — the committed v1 artifact's
-    inverted sharded-2/4 entries were measured on a 1-schedulable-core
-    host and looked like an engine regression without this.  The hostname
+    Labels *where* a number came from, so a number measured on a small or
+    shared host (one schedulable core, say) reads as what it is instead of
+    as a regression.  The hostname
     ships as a short SHA-256 so artifacts stay comparable across runs of
     one machine without leaking machine names into the repo.
     """

@@ -1,10 +1,10 @@
 """Observability for the ingest stack: metrics registry and exports.
 
 See :mod:`repro.observability.metrics` for the registry itself.  The hot
-paths (:meth:`ImplicationCountEstimator.update_batch`, the sharded engine,
-the coordinator, the wire format) instrument themselves against the
-process-global registry; ``repro-experiments throughput --metrics-json
-PATH`` exports the collected metrics after a run.
+paths (:meth:`ImplicationCountEstimator.update_batch`, the coordinator,
+the wire format, checkpoints and the serving loop) instrument themselves
+against the process-global registry; ``repro-experiments throughput
+--metrics-json PATH`` exports the collected metrics after a run.
 """
 
 from .metrics import (
@@ -16,7 +16,6 @@ from .metrics import (
     MetricsRegistry,
     get_registry,
     reset_registry,
-    scoped_registry,
     set_registry,
 )
 
@@ -29,6 +28,5 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "reset_registry",
-    "scoped_registry",
     "set_registry",
 ]

@@ -3,10 +3,10 @@
 The paper's constrained environments (Section 1) ship *sketches* because
 tuples are too expensive to move; the same logic applies to telemetry.  A
 :class:`MetricsRegistry` is a tiny in-process accumulator whose whole state
-snapshots to a flat JSON-able dict, so a shard worker can ship its metrics
-back to the parent alongside its sketch payload and the parent folds them
-with :meth:`MetricsRegistry.merge_snapshot` — exactly the snapshot/merge
-shape the estimators themselves use.
+snapshots to a flat JSON-able dict, so a checkpoint can carry its metrics
+and a restore (or a load client) folds them back with
+:meth:`MetricsRegistry.merge_snapshot` — exactly the snapshot/merge shape
+the estimators themselves use.
 
 Design constraints:
 
@@ -17,18 +17,15 @@ Design constraints:
   keeping the measured overhead of the layer within noise (the acceptance
   bound is <= 5% on the full batch engine).
 * **Swappable global** — instrumented code resolves the active registry
-  through :func:`get_registry` at call time, so a shard worker can install
-  a fresh registry for the duration of its job (:func:`scoped_registry`)
-  and ship back *only* what that job did, even under the ``fork`` start
-  method where the child inherits the parent's counts.
+  through :func:`get_registry` at call time, so a caller (a test, a CLI
+  export) can install a fresh registry with :func:`set_registry` or
+  :func:`reset_registry` and read back only what ran after it.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Iterator
 
 __all__ = [
     "Counter",
@@ -40,7 +37,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "reset_registry",
-    "scoped_registry",
 ]
 
 #: Shared log-spaced bucket upper bounds (inclusive) for every
@@ -97,7 +93,7 @@ class Histogram:
     The summary fields (count, sum, extrema) merge exactly and answer
     mean/spread/worst-case; the fixed log-spaced bucket counts
     (:data:`HISTOGRAM_BUCKET_BOUNDS` plus one overflow bucket) survive
-    snapshot/merge so quantiles stay computable from *shipped* worker
+    snapshot/merge so quantiles stay computable from *shipped*
     metrics — a merged p99 needs the distribution, not just extrema.
     """
 
@@ -224,11 +220,11 @@ class MetricsRegistry:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
     # ------------------------------------------------------------------ #
-    # Snapshot / merge (the shard-worker shipping format)
+    # Snapshot / merge (the shipping format checkpoints and clients use)
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> dict:
-        """Flat JSON-able state (the wire form shard workers ship back)."""
+        """Flat JSON-able state (the wire form checkpoints record)."""
         return {
             "counters": {
                 name: metric.value for name, metric in self._counters.items()
@@ -340,9 +336,9 @@ class MetricsRegistry:
         metric here) is rejected in full — never half-merged — counted in
         ``observability.rejected_snapshots``, and reported by returning
         ``False``.  This mirrors the coordinator's payload quarantine: by
-        the time worker metrics are folded the sketch payload was already
-        accepted, so a mid-fold ``TypeError`` would corrupt the parent's
-        telemetry with no way back.
+        the time a restored checkpoint's metrics are folded its sketch
+        payload was already accepted, so a mid-fold ``TypeError`` would
+        corrupt the live telemetry with no way back.
 
         v1 summaries (no ``"buckets"`` key) still merge — count, sum and
         extrema combine; only quantiles are unavailable for their mass.
@@ -453,20 +449,3 @@ def reset_registry() -> MetricsRegistry:
     """Install a fresh, empty registry (convenience for CLI runs / tests)."""
     return set_registry(MetricsRegistry())
 
-
-@contextmanager
-def scoped_registry(
-    registry: MetricsRegistry | None = None,
-) -> Iterator[MetricsRegistry]:
-    """Temporarily make ``registry`` (default: a fresh one) the active one.
-
-    Shard workers wrap their whole job in this so the snapshot they ship
-    back contains only that job's activity — even under ``fork``, where the
-    child process inherits the parent's registry state.
-    """
-    active = MetricsRegistry() if registry is None else registry
-    previous = set_registry(active)
-    try:
-        yield active
-    finally:
-        set_registry(previous)

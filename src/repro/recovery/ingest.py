@@ -10,7 +10,7 @@ import numpy as np
 
 from ..core.estimator import ImplicationCountEstimator
 from ..observability import metrics as obs
-from ..sketch.hashing import coerce_encoded
+from ..sketch.hashing import coerce_columns
 from . import crash
 from .checkpoint import RESIDENT_STATE, CheckpointManager, check_resume_shape
 
@@ -48,12 +48,7 @@ def ingest_checkpointed(
     profile.  Checkpoints written by the per-batch merge chain are refused
     by name (:func:`~repro.recovery.checkpoint.check_resume_shape`).
     """
-    lhs = coerce_encoded(lhs)
-    rhs = coerce_encoded(rhs)
-    if lhs.shape != rhs.shape:
-        raise ValueError(
-            f"lhs and rhs must have equal shapes, got {lhs.shape} vs {rhs.shape}"
-        )
+    lhs, rhs = coerce_columns(lhs, rhs)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if every < 1:

@@ -146,9 +146,9 @@ def _decode_ingest_body(
 
     JSON bodies carry ``{"lhs": [...], "rhs": [...]}`` with plain
     non-negative integers below 2**64; binary bodies are the two columns
-    as little-endian uint64, lhs column then rhs column (the layout the
-    shared-memory shard transport uses).  Anything malformed raises
-    ``ValueError`` — nothing partial ever reaches the queue.
+    as little-endian uint64, lhs column then rhs column.  Anything
+    malformed raises ``ValueError`` — nothing partial ever reaches the
+    queue.
     """
     if not body:
         return (

@@ -36,6 +36,7 @@ from .bitops import HASH_BITS
 __all__ = [
     "MASK64",
     "MERSENNE_61",
+    "coerce_columns",
     "coerce_encoded",
     "encode_item",
     "HashFunction",
@@ -128,6 +129,24 @@ def coerce_encoded(values) -> np.ndarray:
             f"{array.dtype}; run values through encode_items() first"
         )
     return array.astype(np.uint64)
+
+
+def coerce_columns(lhs, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce a batch's lhs and rhs columns with :func:`coerce_encoded`.
+
+    Both must be 1-D and of equal length.  Batch entry points call this
+    before they change any state, so a malformed pair raises
+    ``ValueError`` with nothing ingested — a 2-D column would otherwise
+    count ``len()`` rows while the kernels read its flattened buffer.
+    """
+    lhs = coerce_encoded(lhs)
+    rhs = coerce_encoded(rhs)
+    if lhs.ndim != 1 or lhs.shape != rhs.shape:
+        raise ValueError(
+            f"lhs and rhs must align as 1-D columns of equal shapes, got "
+            f"{lhs.shape} vs {rhs.shape}"
+        )
+    return lhs, rhs
 
 
 class HashFunction(abc.ABC):

@@ -3,7 +3,7 @@
 A *contract* is a machine-checkable identity between two or more
 implementations that process the same stream: the exact sticky-semantics
 counter, NIPS/CI through its scalar and batch entry points on both kernel
-backends, the sharded engine + coordinator merge path, the wire format, and
+backends, the sub-stream merge + coordinator path, the wire format, and
 the ``sketch/`` distinct-count estimators against their analytic error
 envelopes.  Each contract knows *when it applies*: the sticky confidence
 condition (theta > 0) is inherently order-dependent and bounded-fringe
@@ -34,8 +34,6 @@ from ..core.conditions import ImplicationConditions, ItemsetStatus
 from ..core.estimator import ImplicationCountEstimator
 from ..core.serialize import estimator_state_digest
 from ..distributed.coordinator import Coordinator
-from ..engine import pool as engine_pool
-from ..engine.sharded import ShardedIngestor
 from ..kernels.backend import available_backends
 from ..sketch.fm import PCSA
 from ..sketch.kmv import KMinimumValues
@@ -180,62 +178,45 @@ def _check_kernel_backend_equivalence(case: StreamCase) -> str | None:
 
 
 def _check_shard_merge(case: StreamCase) -> str | None:
-    """Merge-of-shards == single-pass, through ShardedIngestor *and* the
-    Coordinator quarantine path.
+    """Merge of contiguous sub-stream estimators == single pass, directly
+    and through the Coordinator quarantine path.
 
-    Scoped to theta == 0 plus an unbounded fringe: sticky confidence dips
-    are interleaving-dependent and bounded-fringe fixation is
-    timing-dependent — both documented merge approximations, not bugs.
+    Three siblings of one template each run ``update_batch`` over a
+    contiguous third of the stream, as three nodes that each see one piece
+    of it would.  Scoped to theta == 0 plus an unbounded fringe: sticky
+    confidence dips are interleaving-dependent and bounded-fringe fixation
+    is timing-dependent — both documented merge approximations, not bugs.
     Under this scope supports, partner counters and multiplicity
     violations merge exactly, so the identity is bit-for-bit.
     """
     single = _scalar_reference(case, fringe_size=None)
     template = case.make(fringe_size=None)
-    ingestor = ShardedIngestor(template, workers=3)
-    # Each shard's batch is exact scalar replay (batch-scalar-replay pins
-    # that), so a divergence here is a merge or transport defect.
-    payloads = ingestor.ingest_payloads(case.lhs, case.rhs)
+    # Each sibling's batch is exact scalar replay (batch-scalar-replay pins
+    # that), so a divergence here is a merge or wire-format defect.
+    siblings = []
+    for lhs, rhs in zip(np.array_split(case.lhs, 3), np.array_split(case.rhs, 3)):
+        sibling = template.spawn_sibling()
+        sibling.update_batch(lhs, rhs)
+        siblings.append(sibling)
+    # Encode before merging: a broken merge may write into its argument.
+    payloads = [sibling.to_bytes() for sibling in siblings]
     merged = template.spawn_sibling()
-    coordinator = Coordinator(template)
-    for shard_name, payload in payloads:
-        merged.merge(ImplicationCountEstimator.from_bytes(payload))
-        if not coordinator.receive(shard_name, payload):
-            return (
-                f"coordinator quarantined healthy shard payload "
-                f"{shard_name}: {coordinator.rejection_reasons.get(shard_name)}"
-            )
-    message = _compare_states("single-pass", single, "merged shards", merged)
+    for sibling in siblings:
+        merged.merge(sibling)
+    message = _compare_states("single-pass", single, "merged sub-streams", merged)
     if message is not None:
         return message
+    coordinator = Coordinator(template)
+    for index, payload in enumerate(payloads):
+        name = f"node-{index}"
+        if not coordinator.receive(name, payload):
+            return (
+                f"coordinator quarantined healthy node payload {name}: "
+                f"{coordinator.rejection_reasons.get(name)}"
+            )
     return _compare_states(
         "single-pass", single, "coordinator merge", coordinator.merged_estimator()
     )
-
-
-def _check_pool_execution_equivalence(case: StreamCase) -> str | None:
-    """persistent pool == fresh pool == serial in-parent execution.
-
-    Unlike ``shard-merge`` this carries *no* theta or fringe scope: all
-    three legs run the identical split/ingest/merge structure — the same
-    shard spans, the same per-shard scalar work, the same shard-index
-    merge order — and differ only in the execution vehicle (pooled worker
-    processes, freshly spawned or reused, versus the in-parent serial
-    path).  Any divergence is therefore transport or lifecycle breakage
-    (template cache serving the wrong geometry, shared-memory spans
-    misaligned, results folded in arrival order), never a documented
-    approximation.
-    """
-    template = case.make()
-    serial = ShardedIngestor(template, workers=3, use_pool=False).ingest(
-        case.lhs, case.rhs
-    )
-    engine_pool.shutdown_runtime()
-    fresh = ShardedIngestor(template, workers=3).ingest(case.lhs, case.rhs)
-    message = _compare_states("serial execution", serial, "fresh pool", fresh)
-    if message is not None:
-        return message
-    reused = ShardedIngestor(template, workers=3).ingest(case.lhs, case.rhs)
-    return _compare_states("serial execution", serial, "reused pool", reused)
 
 
 def _single_pass(
@@ -1016,21 +997,12 @@ CONTRACTS: tuple[Contract, ...] = (
     Contract(
         name="shard-merge",
         description=(
-            "merge of ShardedIngestor shards, directly and through the "
-            "Coordinator, equals a single pass [scope: theta=0, unbounded "
-            "fringe]"
+            "merge of three contiguous sub-stream estimators, directly and "
+            "through the Coordinator, equals a single pass [scope: "
+            "theta=0, unbounded fringe]"
         ),
         check=_check_shard_merge,
         applies=lambda case: case.theta_zero,
-    ),
-    Contract(
-        name="pool-execution-equivalence",
-        description=(
-            "sharded ingest through the persistent worker pool (fresh and "
-            "reused) equals serial in-parent execution bit-for-bit "
-            "(all condition profiles)"
-        ),
-        check=_check_pool_execution_equivalence,
     ),
     Contract(
         name="serialize-roundtrip",

@@ -8,10 +8,11 @@ stream to a small counterexample, and *replay* it from the bundle.  That
 end-to-end loop is part of the test suite and of the CLI acceptance run
 (``repro-experiments verify --mutate ...``).
 
-Mutants override :meth:`spawn_sibling` so engine code that clones the
-template (sharded ingest, coordinators) stays inside the mutant class —
-except for serialized payloads, which always decode to the stock class,
-mirroring how a real single-process bug behaves in a distributed deploy.
+Mutants override :meth:`spawn_sibling` so code that clones the template
+(bulk ingest, the sub-stream siblings of ``shard-merge``, coordinators)
+stays inside the mutant class — except for serialized payloads, which
+always decode to the stock class, mirroring how a real single-process bug
+behaves in a distributed deploy.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ class MergeForgetsSupportEstimator(_MutantEstimator):
 
     The defect class of a union-instead-of-sum merge (FM-style bit OR
     applied to counters).  Single-pass ingestion is untouched; only the
-    merge-of-shards contract can see it — and only when one shard observes
-    an itemset at least twice, so the minimal counterexample needs a few
-    tuples rather than one.
+    merge-of-sub-streams contract can see it — and only when one sub-stream
+    observes an itemset at least twice, so the minimal counterexample needs
+    a few tuples rather than one.
     """
 
     def merge(self, other: "ImplicationCountEstimator") -> "ImplicationCountEstimator":

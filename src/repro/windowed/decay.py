@@ -28,6 +28,7 @@ import numpy as np
 
 from ..core.conditions import ImplicationConditions
 from ..core.estimator import ImplicationCountEstimator
+from ..sketch.hashing import coerce_columns
 
 
 __all__ = ["DecayingImplicationCounter", "decay_fringe_counters"]
@@ -128,8 +129,7 @@ class DecayingImplicationCounter:
     def update_batch(self, lhs: np.ndarray, rhs: np.ndarray) -> None:
         """Batch ingest, split at decay-tick boundaries on the absolute
         grid (mirrors the windowed estimator's rotation-aligned split)."""
-        lhs = np.asarray(lhs)
-        rhs = np.asarray(rhs)
+        lhs, rhs = coerce_columns(lhs, rhs)
         total = len(lhs)
         offset = 0
         while offset < total:

@@ -60,7 +60,7 @@ from ..core.conditions import ImplicationConditions
 from ..core.estimator import ImplicationCountEstimator, MemoryProfile
 from ..core.nips import DEFAULT_CAPACITY_SLACK, DEFAULT_FRINGE_SIZE
 from ..core.serialize import estimator_state_digest
-from ..sketch.hashing import HashFunction
+from ..sketch.hashing import HashFunction, coerce_columns
 
 __all__ = [
     "WindowedImplicationEstimator",
@@ -198,12 +198,7 @@ class WindowedImplicationEstimator:
         rotation on the same boundary — the property
         ``generation-rotation-determinism`` pins.
         """
-        lhs = np.asarray(lhs)
-        rhs = np.asarray(rhs)
-        if lhs.shape != rhs.shape:
-            raise ValueError(
-                f"lhs and rhs must align, got {lhs.shape} vs {rhs.shape}"
-            )
+        lhs, rhs = coerce_columns(lhs, rhs)
         total = len(lhs)
         offset = 0
         while offset < total:

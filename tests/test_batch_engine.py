@@ -1,17 +1,17 @@
 """State-equivalence tests for the batch ingest engine.
 
-The engine's two layers — the vectorized Zone-1 filter with per-row
-replay (:meth:`ImplicationCountEstimator.update_batch`, on both kernel
-backends) and sharded ingest-then-merge
-(:class:`repro.engine.ShardedIngestor`) — are performance transformations
-of the scalar per-tuple loop.  These tests pin them to the scalar
-reference *bit for bit*: same fringe geometry, same per-cell
-:class:`ItemsetState` counters, same readouts, across datasets, hash
-families and stream permutations.
+The batch path — the vectorized Zone-1 filter with per-row replay
+(:meth:`ImplicationCountEstimator.update_batch`, on both kernel backends),
+also reached through bulk ingest (:class:`repro.engine.ShardedIngestor`)
+— is a performance transformation of the scalar per-tuple loop.  These
+tests pin it to the scalar reference *bit for bit*: same fringe geometry,
+same per-cell :class:`ItemsetState` counters, same readouts, across
+datasets, hash families and stream permutations.
 
-The one documented exception is the sticky-semantics order dependence
-inherited from :meth:`ItemsetState.merge` (a confidence dip visible only
-in one interleaving), which gets its own targeted tests at the end.
+Merging sub-stream estimators is not exact in general: the sticky
+semantics are order dependent (a confidence dip visible only in one
+interleaving, inherited from :meth:`ItemsetState.merge`), which gets its
+own targeted tests at the end.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.datasets.network import NetworkTrafficGenerator, ScenarioEvent
 from repro.datasets.synthetic import generate_dataset_one
 from repro.distributed.coordinator import Coordinator
 from repro.engine import ShardedIngestor
-from repro.engine.pool import ShardJob
 from repro.kernels import available_backends
 from repro.recovery import CheckpointManager, ingest_checkpointed
 from repro.sketch.hashing import HashFamily, encode_items
@@ -153,45 +152,10 @@ class TestBatchEquivalence:
         reference = canonical_state(
             scalar_reference(conditions, family, lhs, rhs)
         )
-        template = make_estimator(conditions, family)
-        for workers in (1, 2):
-            merged = ShardedIngestor(
-                template, workers=workers, kernels=backend
-            ).ingest(lhs, rhs)
-            assert canonical_state(merged) == reference, (backend, workers)
-
-
-class TestShardedEngine:
-    def test_coordinator_wiring(self):
-        """ingest_sharded registers one snapshot per shard, merge matches."""
-        conditions, lhs, rhs = dataset_one_stream()
-        template = make_estimator(conditions, "splitmix")
-        coordinator = Coordinator(template)
-        coordinator.ingest_sharded(lhs, rhs, workers=2)
-        assert coordinator.node_count == 2
-        direct = make_estimator(conditions, "splitmix")
-        direct.update_batch(lhs, rhs)
-        assert canonical_state(coordinator.merged_estimator()) == canonical_state(
-            direct
-        )
-
-    def test_payload_names_are_stable(self):
-        conditions, lhs, rhs = dataset_one_stream()
-        template = make_estimator(conditions, "splitmix")
-        payloads = ShardedIngestor(template, workers=2).ingest_payloads(lhs, rhs)
-        assert [name for name, _ in payloads] == ["shard-0", "shard-1"]
-
-    def test_worker_validation(self):
-        conditions, _, _ = dataset_one_stream()
-        template = make_estimator(conditions, "splitmix")
-        with pytest.raises(ValueError):
-            ShardedIngestor(template, workers=0)
-
-    def test_more_workers_than_tuples(self):
-        conditions, lhs, rhs = dataset_one_stream()
-        template = make_estimator(conditions, "splitmix")
-        merged = ShardedIngestor(template, workers=4).ingest(lhs[:3], rhs[:3])
-        assert merged.tuples_seen == 3
+        template = make_estimator(conditions, family, kernels=backend)
+        ingested = ShardedIngestor(template).ingest(lhs, rhs)
+        assert canonical_state(ingested) == reference, backend
+        assert template.tuples_seen == 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -210,8 +174,8 @@ def test_order_sensitive_streams_match_scalar(
     Cell-grouped replay and pair coalescing once ended these streams on
     a different state than the scalar loop (on the ``uniform`` one even
     at theta = 0, through overflow timing under the bounded fringe).  The
-    default ``update_batch`` and a one-shard ``ShardedIngestor`` must land
-    on the scalar digest.
+    default ``update_batch`` and ``ShardedIngestor`` must land on the
+    scalar digest.
     """
     lhs, rhs = generate_stream(profile, seed=seed, size=size)
     conditions = dict(CONDITION_PROFILES)[condition]
@@ -224,8 +188,10 @@ def test_order_sensitive_streams_match_scalar(
     )
     batch.update_batch(lhs, rhs)
     assert estimator_state_digest(batch) == want
-    template = ImplicationCountEstimator(conditions, num_bitmaps=4, seed=seed)
-    sharded = ShardedIngestor(template, kernels=backend).ingest(lhs, rhs)
+    template = ImplicationCountEstimator(
+        conditions, num_bitmaps=4, seed=seed, kernels=backend
+    )
+    sharded = ShardedIngestor(template).ingest(lhs, rhs)
     assert estimator_state_digest(sharded) == want
 
 
@@ -241,22 +207,105 @@ def test_removed_batch_flags_raise_type_error(flag, tmp_path):
         ImplicationCountEstimator(conditions, window=64).update_batch,
         DecayingImplicationCounter(conditions, half_life=64).update_batch,
         ingestor.ingest,
-        ingestor.ingest_payloads,
         lambda a, b, **flags: ingest_checkpointed(
             template, a, b, manager=manager, **flags
         ),
-        Coordinator(template).ingest_sharded,
     ]
     for entry in entry_points:
         with pytest.raises(TypeError):
             entry(lhs[:8], rhs[:8], **{flag: False})
-    with pytest.raises(TypeError):
-        ShardJob(
-            shard_index=0, attempt=0, digest="", template_payload=b"",
-            offset=0, length=0, fail_injected=False, failure_hook=None,
-            **{flag: False},
-        )
     assert template.tuples_seen == 0
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        {"workers": 2},
+        {"job_timeout": 1.0},
+        {"failure_hook": None},
+        {"use_pool": False},
+        {"kernels": "python"},
+    ],
+    ids=lambda option: next(iter(option)),
+)
+def test_removed_sharded_options_raise_type_error(option):
+    """ShardedIngestor takes only its template (the backend rides on the
+    template through spawn_sibling), and a Coordinator is fed only by
+    receive."""
+    conditions, _, _ = dataset_one_stream()
+    template = make_estimator(conditions, "splitmix")
+    with pytest.raises(TypeError):
+        ShardedIngestor(template, **option)
+    assert not hasattr(Coordinator(template), "ingest_sharded")
+
+
+def _batch_entry(kind, backend, tmp_path):
+    """``(ingest, fingerprint)`` for one batch entry point, already fed a
+    short stream so an unchanged fingerprint means something."""
+    conditions = ImplicationConditions(min_support=2)
+    prefix = generate_stream("skewed", seed=1, size=6)
+    if kind == "windowed":
+        windowed = ImplicationCountEstimator(
+            conditions, num_bitmaps=8, kernels=backend, window=8
+        )
+        windowed.update_batch(*prefix)
+        return windowed.update_batch, lambda: (
+            windowed.tuples_seen,
+            windowed.state_digest(),
+        )
+    if kind == "decaying":
+        decaying = DecayingImplicationCounter(
+            conditions, half_life=4, num_bitmaps=8, kernels=backend
+        )
+        decaying.update_batch(*prefix)
+        return decaying.update_batch, lambda: (
+            decaying.tuples_seen,
+            estimator_state_digest(decaying.estimator),
+        )
+    estimator = ImplicationCountEstimator(conditions, num_bitmaps=8, kernels=backend)
+    if kind == "estimator":
+        estimator.update_batch(*prefix)
+        return estimator.update_batch, lambda: (
+            estimator.tuples_seen,
+            estimator_state_digest(estimator),
+        )
+    # Checkpointed ingest: its state is the latest committed generation.
+    manager = CheckpointManager(str(tmp_path / "ckpt"))
+    ingest_checkpointed(estimator, *prefix, manager=manager)
+
+    def fingerprint():
+        latest = manager.load_latest(template=estimator)
+        return latest.cursor, estimator_state_digest(latest.estimator)
+
+    return (
+        lambda lhs, rhs: ingest_checkpointed(
+            estimator, lhs, rhs, manager=manager, chunk_size=4
+        ),
+        fingerprint,
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "kind", ["estimator", "windowed", "decaying", "checkpointed"]
+)
+@pytest.mark.parametrize("shape", ["2-D", "mismatched"])
+def test_malformed_columns_raise_before_any_state_changes(
+    kind, backend, shape, tmp_path
+):
+    """2-D or unequal-length columns raise ``ValueError`` with nothing
+    ingested: no tuple counted, no state or checkpoint changed."""
+    if shape == "2-D":
+        wide = np.arange(256, dtype=np.uint64).reshape(64, 4)
+        lhs, rhs = wide, wide + np.uint64(1)
+    else:
+        lhs = np.arange(10, dtype=np.uint64)
+        rhs = np.arange(5, dtype=np.uint64)
+    ingest, fingerprint = _batch_entry(kind, backend, tmp_path)
+    before = fingerprint()
+    with pytest.raises(ValueError):
+        ingest(lhs, rhs)
+    assert fingerprint() == before
 
 
 class TestTransientFringeGeometry:
@@ -365,16 +414,17 @@ class TestMergeOrderDependence:
 
     def test_sharded_ingest_can_miss_interleaving_dip(self):
         """The mirror image: the single-pass order dips mid-stream, but each
-        shard stays below minimum support (never evaluated) and every
+        sub-stream stays below minimum support (never evaluated) and every
         pairwise-merge prefix stays above theta, so the merged sketch keeps
-        the cell the single pass wiped."""
+        the cell the single pass wiped.  Bulk ingest runs one pass, so it
+        lands on the single pass."""
         conditions = ImplicationConditions(
             min_support=3, top_c=1, min_top_confidence=0.65
         )
         # Stream for one itemset: partner counts dip to 3/5 = 0.6 < 0.65 at
-        # support 5, then recover to 4/6.  Shards of two tuples each hold
-        # support 2 < tau; the pairwise fold evaluates at 3/4 = 0.75 and
-        # 4/6 = 0.667, both above theta.
+        # support 5, then recover to 4/6.  Sub-streams of two tuples each
+        # hold support 2 < tau; the pairwise fold evaluates at 3/4 = 0.75
+        # and 4/6 = 0.667, both above theta.
         itemset = np.full(6, 7, dtype=np.uint64)
         partners = np.array([1, 1, 1, 2, 2, 1], dtype=np.uint64)
 
@@ -391,9 +441,16 @@ class TestMergeOrderDependence:
         assert find_cell(single) is None
 
         template = ImplicationCountEstimator(conditions, num_bitmaps=4, seed=0)
-        merged = ShardedIngestor(template, workers=3).ingest(itemset, partners)
+        merged = template.spawn_sibling()
+        for start in range(0, len(itemset), 2):
+            part = template.spawn_sibling()
+            part.update_batch(itemset[start : start + 2], partners[start : start + 2])
+            merged.merge(part)
         survivor = find_cell(merged)
         assert survivor is not None
         assert survivor.support == 6
         assert not survivor.violated
         assert canonical_state(merged) != canonical_state(single)
+
+        ingested = ShardedIngestor(template).ingest(itemset, partners)
+        assert estimator_state_digest(ingested) == estimator_state_digest(single)

@@ -153,50 +153,6 @@ class TestCoordinatorQuarantine:
             Coordinator(template, max_tracked_rejections=0)
 
 
-class TestIngestShardedEpochs:
-    def test_second_ingest_does_not_replace_first(self):
-        """Regression: shard names were reused across calls, so the second
-        stream's snapshots silently replaced the first's."""
-        data, template, __ = make_setup()
-        half = len(data.lhs) // 2
-        coordinator = Coordinator(template)
-        coordinator.ingest_sharded(data.lhs[:half], data.rhs[:half], workers=2)
-        coordinator.ingest_sharded(data.lhs[half:], data.rhs[half:], workers=2)
-        assert coordinator.node_count == 4  # 2 epochs x 2 shards
-        merged = coordinator.merged_estimator()
-        assert merged.tuples_seen == len(data.lhs)
-
-    def test_epoch_namespacing_matches_single_ingest(self):
-        """Two half-stream calls must agree with one full-stream call on
-        the mergeable statistics."""
-        data, template, __ = make_setup(seed=8)
-        half = len(data.lhs) // 2
-        split = Coordinator(template)
-        split.ingest_sharded(data.lhs[:half], data.rhs[:half], workers=2)
-        split.ingest_sharded(data.lhs[half:], data.rhs[half:], workers=2)
-        whole = Coordinator(template)
-        whole.ingest_sharded(data.lhs, data.rhs, workers=4)
-        assert split.supported_distinct_count() == pytest.approx(
-            whole.supported_distinct_count(), rel=0.2
-        )
-
-    def test_stores_ingestor_payloads_shard_for_shard(self):
-        """The coordinator registers exactly the payloads a standalone
-        ingestor produces for the same split."""
-        from repro.engine import ShardedIngestor
-
-        data, template, __ = make_setup(seed=12)
-        coordinator = Coordinator(template)
-        coordinator.ingest_sharded(data.lhs, data.rhs, workers=2)
-        reference = ShardedIngestor(template, workers=2)
-        expected = dict(reference.ingest_payloads(data.lhs, data.rhs))
-        stored = {
-            name.split("/")[-1]: payload
-            for name, payload in coordinator._latest.items()
-        }
-        assert stored == expected
-
-
 class TestAggregationTree:
     def test_validation(self):
         __, template, nodes = make_setup()

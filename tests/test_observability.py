@@ -9,12 +9,10 @@ import pytest
 
 from repro.core.estimator import ImplicationCountEstimator
 from repro.datasets.synthetic import generate_dataset_one
-from repro.engine import ShardedIngestor
 from repro.observability import (
     MetricsRegistry,
     get_registry,
     reset_registry,
-    scoped_registry,
     set_registry,
 )
 
@@ -204,15 +202,6 @@ class TestRegistry:
     def test_render_empty(self, registry):
         assert "no metrics" in registry.render()
 
-    def test_scoped_registry_restores(self, registry):
-        registry.counter("outer").add(1)
-        with scoped_registry() as inner:
-            get_registry().counter("inner").add(1)
-            assert inner.counter("inner").value == 1
-            assert inner.counter("outer").value == 0
-        assert get_registry() is registry
-        assert registry.counter("inner").value == 0
-
     def test_reset_registry_installs_fresh(self, registry):
         registry.counter("x").add(1)
         reset_registry()
@@ -245,21 +234,6 @@ class TestInstrumentation:
         assert histogram.count == 1
         assert histogram.maximum == len(payload)
 
-    def test_sharded_run_ships_worker_metrics(self, registry):
-        data = generate_dataset_one(300, 150, c=1, seed=4)
-        template = ImplicationCountEstimator(data.conditions, seed=4)
-        ingestor = ShardedIngestor(template, workers=2)
-        ingestor.ingest(data.lhs, data.rhs)
-        assert registry.counter("sharded.ingests").value == 1
-        assert registry.counter("sharded.jobs").value == 2
-        # Worker-side metrics crossed the process boundary: one wall-time
-        # observation and one tuple count per shard.
-        assert registry.histogram("sharded.shard_seconds").count == 2
-        assert registry.counter("sharded.shard_tuples").value == len(data.lhs)
-        # Worker-side batch counters merged too (both shards ran the
-        # batch engine on their half of the stream).
-        assert registry.counter("ingest.tuples").value == len(data.lhs)
-
 
 class TestCliExport:
     def test_metrics_json_written(self, tmp_path, capsys, monkeypatch):
@@ -267,12 +241,9 @@ class TestCliExport:
 
         monkeypatch.setenv("REPRO_SCALE", "quick")
         target = tmp_path / "metrics.json"
-        assert main(
-            ["throughput", "--workers", "1", "--metrics-json", str(target)]
-        ) == 0
+        assert main(["throughput", "--metrics-json", str(target)]) == 0
         exported = json.loads(target.read_text())
         assert exported["counters"]["ingest.tuples"] > 0
-        assert "sharded.shard_seconds" in exported["histograms"]
         out = capsys.readouterr().out
         assert "ingest.tuples" in out  # text table printed alongside
 

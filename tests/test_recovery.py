@@ -448,23 +448,48 @@ class TestCoordinatorCheckpoint:
 
     def test_checkpoint_restore_round_trip(self, tmp_path):
         template, coordinator = self.build_coordinator()
-        coordinator.ingest_sharded(
-            *generate_stream("skewed", seed=9, size=120), workers=1
-        )
+        fourth = template.spawn_sibling()
+        fourth.update_batch(*generate_stream("skewed", seed=9, size=120))
+        assert coordinator.receive("node-3", fourth.to_bytes())
         before_digest = estimator_state_digest(coordinator.merged_estimator())
         manager = CheckpointManager(tmp_path / "ckpt")
         manifest = coordinator.checkpoint(manager, cursor=420)
         assert manifest["extra"]["kind"] == "coordinator"
+        assert "ingest_epoch" not in manifest["extra"]
+        fresh = Coordinator(template)
+        assert fresh.restore(manager) is True
+        assert estimator_state_digest(fresh.merged_estimator()) == before_digest
+        assert fresh.node_count == coordinator.node_count == 4
+        assert fresh.bytes_received == coordinator.bytes_received
+        assert fresh.rejected_payloads == coordinator.rejected_payloads
+        assert fresh.rejection_reasons == coordinator.rejection_reasons
+
+    def test_restore_ignores_recorded_ingest_epoch(self, tmp_path):
+        """Coordinators that still ingested local streams themselves
+        recorded an ``ingest_epoch`` in the manifest; restore ignores it
+        and lands on the same merged digest."""
+        template, coordinator = self.build_coordinator()
+        before_digest = estimator_state_digest(coordinator.merged_estimator())
+        manager = CheckpointManager(tmp_path / "ckpt")
+        manager.save(
+            coordinator.merged_estimator(),
+            cursor=420,
+            epoch={"ingest_epoch": 2},
+            extra={
+                "kind": "coordinator",
+                "ingest_epoch": 2,
+                "bytes_received": coordinator.bytes_received,
+                "rejected_payloads": dict(coordinator.rejected_payloads),
+                "rejection_reasons": dict(coordinator.rejection_reasons),
+                "rejections_dropped": coordinator.rejections_dropped,
+            },
+            attachments=dict(coordinator._latest),
+        )
         fresh = Coordinator(template)
         assert fresh.restore(manager) is True
         assert estimator_state_digest(fresh.merged_estimator()) == before_digest
         assert fresh.node_count == coordinator.node_count
         assert fresh.bytes_received == coordinator.bytes_received
-        assert fresh.rejected_payloads == coordinator.rejected_payloads
-        assert fresh.rejection_reasons == coordinator.rejection_reasons
-        # The epoch counter survives, so post-restore sharded ingests keep
-        # namespacing forward instead of colliding with pre-crash shards.
-        assert fresh._ingest_epoch == coordinator._ingest_epoch
 
     def test_restore_empty_directory_returns_false(self, tmp_path):
         template, coordinator = self.build_coordinator()
