@@ -44,7 +44,6 @@ from .core import (
     MemoryProfile,
     NIPSBitmap,
     QueryEngine,
-    SlidingWindowImplicationCounter,
     WindowedImplicationQuery,
     SampledImplicationAggregates,
     BaselineTrigger,
@@ -81,7 +80,6 @@ __all__ = [
     "required_fringe_size",
     "minimum_estimable_count",
     "IncrementalImplicationCounter",
-    "SlidingWindowImplicationCounter",
     "ImplicationQuery",
     "AggregateQuery",
     "DistinctCountQuery",

@@ -6,7 +6,7 @@ Public surface:
 * :class:`ImplicationCountEstimator` — NIPS/CI with stochastic averaging;
 * :class:`NIPSBitmap` — a single bitmap (building block / research use);
 * :class:`MedianOfEstimators` and the (eps, delta) helpers;
-* incremental and sliding-window wrappers;
+* the incremental wrapper (sliding windows are :mod:`repro.windowed`);
 * the declarative query layer of Table 2.
 """
 
@@ -23,10 +23,7 @@ from .approximation import (
 )
 from .conditions import ImplicationConditions, ItemsetStatus
 from .estimator import ImplicationCountEstimator, MemoryProfile
-from .incremental import (
-    IncrementalImplicationCounter,
-    SlidingWindowImplicationCounter,
-)
+from .incremental import IncrementalImplicationCounter
 from .nips import DEFAULT_CAPACITY_SLACK, DEFAULT_FRINGE_SIZE, NIPSBitmap
 from .queries import (
     AggregateQuery,
@@ -56,7 +53,6 @@ __all__ = [
     "groups_for_confidence",
     "bitmaps_for_accuracy",
     "IncrementalImplicationCounter",
-    "SlidingWindowImplicationCounter",
     "ImplicationQuery",
     "AggregateQuery",
     "DistinctCountQuery",

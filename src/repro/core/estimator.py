@@ -88,34 +88,11 @@ class ImplicationCountEstimator:
         ``"auto"`` to prefer compiled with silent fallback (DESIGN.md §11),
         or an already-resolved :class:`~repro.kernels.Kernels`.  Resolved
         once at construction; the scalar API is unaffected.
-    window:
-        Request *sliding-window* instead of landmark semantics: passing
-        ``window=W`` (keyword-only) returns a
-        :class:`repro.windowed.WindowedImplicationEstimator` covering the
-        last ``W`` tuples via ``window_generations`` rotating bitmap
-        generations (DESIGN.md §13).  The returned object mirrors this
-        class's ingest/readout surface but is a distinct type — landmark
-        state stays landmark.
+
+    State is *landmark*: it covers the whole stream since construction.
+    Sliding-window counts are
+    :class:`repro.windowed.WindowedImplicationEstimator` (DESIGN.md §13).
     """
-
-    def __new__(cls, *args, **kwargs):
-        if cls is ImplicationCountEstimator and kwargs.get("window") is not None:
-            from ..windowed.estimator import WindowedImplicationEstimator
-
-            window = kwargs.pop("window")
-            # Accept both the landmark-facing spelling (window_generations)
-            # and the windowed class's own (generations), but not both.
-            if "window_generations" in kwargs and "generations" in kwargs:
-                raise TypeError(
-                    "pass window_generations= or generations=, not both"
-                )
-            generations = kwargs.pop(
-                "window_generations", kwargs.pop("generations", 4)
-            )
-            return WindowedImplicationEstimator(
-                *args, window=window, generations=generations, **kwargs
-            )
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -128,17 +105,7 @@ class ImplicationCountEstimator:
         hash_function: HashFunction | None = None,
         bias_correction: bool = True,
         kernels: str | Kernels | None = None,
-        window: int | None = None,
-        window_generations: int = 4,
     ) -> None:
-        if window is not None:
-            # Only reachable on subclasses: the base class's __new__
-            # dispatches window= requests to WindowedImplicationEstimator
-            # before __init__ ever runs.
-            raise TypeError(
-                f"{type(self).__name__} does not support window=; construct "
-                f"repro.windowed.WindowedImplicationEstimator directly"
-            )
         if num_bitmaps < 1 or num_bitmaps & (num_bitmaps - 1):
             raise ValueError(f"num_bitmaps must be a power of two, got {num_bitmaps}")
         self.conditions = conditions
@@ -484,10 +451,10 @@ class ImplicationCountEstimator:
     def spawn_sibling(self) -> "ImplicationCountEstimator":
         """A fresh, empty estimator with identical geometry and hash.
 
-        Sliding-window maintenance (Section 3.2) rotates through siblings
-        with staggered stream origins; sharing the hash keeps their readouts
-        comparable.  The sibling keeps this estimator's kernel backend, so
-        an explicit ``kernels=`` choice survives the spawn.
+        Sliding-window generations (Section 3.2, :mod:`repro.windowed`)
+        are siblings; sharing the hash keeps them mergeable.  The sibling
+        keeps this estimator's kernel backend, so an explicit ``kernels=``
+        choice survives the spawn.
         """
         return ImplicationCountEstimator(
             self.conditions,

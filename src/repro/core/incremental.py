@@ -1,27 +1,22 @@
-"""Incremental and sliding-window implication counts (Section 3.2).
+"""Incremental implication counts (Section 3.2, Figure 1).
 
 The base estimator counts itemsets whose implication conditions hold *from a
-reference point in the stream onward*.  Two relaxations:
+reference point in the stream onward*.  The incremental relaxation asks "how
+many *new* implying itemsets appeared between t1 and t2?" and answers it as
+``ic(t2) - ic(t1)`` by checkpointing the running count.
 
-* **Incremental** (Figure 1): "how many *new* implying itemsets appeared
-  between t1 and t2?" — answered as ``ic(t2) - ic(t1)`` by checkpointing the
-  running count.
-* **Sliding window** (Figure 2): retire old contributions by maintaining a
-  vector of estimators with staggered stream origins and answering from the
-  youngest estimator that covers the window, retiring estimators whose
-  origin has slid out.  The window is honoured at *pane* granularity — the
-  classical basic-window construction; finer panes trade memory for
-  resolution.
+Sliding-window counts (Figure 2) live in :mod:`repro.windowed`:
+:class:`~repro.windowed.WindowedImplicationEstimator` rotates pane-disjoint
+generations of the estimator and merges them on read.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Hashable
 
 from .estimator import ImplicationCountEstimator
 
-__all__ = ["IncrementalImplicationCounter", "SlidingWindowImplicationCounter"]
+__all__ = ["IncrementalImplicationCounter"]
 
 
 class IncrementalImplicationCounter:
@@ -70,105 +65,3 @@ class IncrementalImplicationCounter:
 
     def drop_checkpoint(self, label: str) -> None:
         self._checkpoints.pop(label, None)
-
-
-class SlidingWindowImplicationCounter:
-    """Implication counts over the trailing ``window`` tuples.
-
-    Maintains ``window / pane + 1`` estimators with staggered origins
-    (Figure 2): a fresh estimator is started every ``pane`` tuples, and an
-    estimator is retired once its origin falls more than ``window + pane``
-    tuples behind the present.  :meth:`implication_count` answers from the
-    oldest live estimator whose origin is inside the window, so the answer
-    covers between ``window - pane`` and ``window`` trailing tuples.
-
-    Memory and per-tuple cost are those of the base estimator multiplied by
-    the number of live panes — the explicit trade-off of Section 3.2.
-    """
-
-    def __init__(
-        self,
-        template: ImplicationCountEstimator,
-        window: int,
-        panes: int = 4,
-    ) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if not 1 <= panes <= window:
-            raise ValueError(f"panes must be in [1, window], got {panes}")
-        self.window = window
-        self.pane = max(window // panes, 1)
-        self._template = template
-        self.clock = 0
-        # (origin, estimator), oldest first.  The template itself is the
-        # first origin-0 estimator.
-        self._estimators: deque[tuple[int, ImplicationCountEstimator]] = deque(
-            [(0, template)]
-        )
-
-    def update(self, itemset: Hashable, partner: Hashable) -> None:
-        """Feed one tuple to every live pane estimator, rotating panes."""
-        self._maybe_rotate()
-        for __, estimator in self._estimators:
-            estimator.update(itemset, partner)
-        self.clock += 1
-
-    def update_batch(self, lhs, rhs) -> None:
-        """Batch updates, splitting at pane boundaries to keep rotation exact."""
-        import numpy as np
-
-        lhs = np.asarray(lhs, dtype=np.uint64)
-        rhs = np.asarray(rhs, dtype=np.uint64)
-        offset = 0
-        while offset < len(lhs):
-            self._maybe_rotate()
-            until_boundary = self.pane - (self.clock % self.pane)
-            chunk = slice(offset, offset + until_boundary)
-            for __, estimator in self._estimators:
-                estimator.update_batch(lhs[chunk], rhs[chunk])
-            taken = len(lhs[chunk])
-            self.clock += taken
-            offset += taken
-
-    def _maybe_rotate(self) -> None:
-        if self.clock % self.pane == 0 and self.clock > 0:
-            newest_origin = self._estimators[-1][0]
-            if self.clock > newest_origin:
-                self._estimators.append(
-                    (self.clock, self._template.spawn_sibling())
-                )
-        # Retire estimators that can no longer be the window answer: an
-        # estimator is useful while its origin >= clock - window - pane.
-        while (
-            len(self._estimators) > 1
-            and self._estimators[1][0] <= self.clock - self.window
-        ):
-            self._estimators.popleft()
-
-    def _window_estimator(self) -> ImplicationCountEstimator:
-        """Oldest estimator whose origin lies within the current window."""
-        cutoff = self.clock - self.window
-        for origin, estimator in self._estimators:
-            if origin >= cutoff:
-                return estimator
-        return self._estimators[-1][1]
-
-    def implication_count(self) -> float:
-        """Estimated implication count over the trailing window."""
-        return self._window_estimator().implication_count()
-
-    def nonimplication_count(self) -> float:
-        return self._window_estimator().nonimplication_count()
-
-    def supported_distinct_count(self) -> float:
-        return self._window_estimator().supported_distinct_count()
-
-    @property
-    def live_panes(self) -> int:
-        return len(self._estimators)
-
-    def __repr__(self) -> str:
-        return (
-            f"SlidingWindowImplicationCounter(window={self.window}, "
-            f"pane={self.pane}, live={self.live_panes})"
-        )

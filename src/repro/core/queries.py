@@ -15,8 +15,9 @@ Complement Implication           ``complement=True`` (non-implication count)
 Conditional Implication          ``where=`` predicate on the full tuple
 Compound Implication             multi-attribute ``lhs`` (itemsets are tuples)
 Complex Implication              :class:`WindowedImplicationQuery` (sliding
-                                 windows) and :class:`AggregateQuery`
-                                 (averages over itemset populations)
+                                 windows, on :mod:`repro.windowed`) and
+                                 :class:`AggregateQuery` (averages over
+                                 itemset populations)
 ===============================  =============================================
 
 Backends: every query runs either on the **exact** counter (hash tables;
@@ -34,7 +35,6 @@ from ..sketch.fm import PCSA
 from ..stream.schema import Relation, Schema
 from .conditions import ImplicationConditions
 from .estimator import ImplicationCountEstimator
-from .incremental import SlidingWindowImplicationCounter
 
 __all__ = [
     "ImplicationQuery",
@@ -186,20 +186,24 @@ class WindowedImplicationQuery:
     """An implication query over a sliding window of the stream.
 
     Covers Table 2's "Complex Implication" row (e.g. counts "over a sliding
-    window of 1h").  Only available on the sketch backend — the window
-    machinery rotates NIPS/CI estimators (Section 3.2).
+    window of 1h").  Only available on the sketch backend: the engine runs
+    it on a :class:`~repro.windowed.WindowedImplicationEstimator`, which
+    rotates ``generations`` pane-disjoint NIPS/CI estimators (Section 3.2)
+    and covers the last ``window`` tuples, rounded up to its pane grid.
+    The estimator validates both settings at :meth:`QueryEngine.register`
+    (``window`` must be a multiple of ``generations``).
     """
 
     def __init__(
         self,
         query: ImplicationQuery,
         window: int,
-        panes: int = 4,
+        generations: int = 4,
         name: str | None = None,
     ) -> None:
         self.query = query
         self.window = window
-        self.panes = panes
+        self.generations = generations
         self.name = name or f"{query.name} over last {window} tuples"
 
 
@@ -331,8 +335,9 @@ class QueryEngine:
         ``"exact"`` (hash tables; ground truth on small data) or
         ``"sketch"`` (NIPS/CI estimators; constrained environments).
     **backend_kwargs:
-        Forwarded to :class:`ImplicationCountEstimator` on the sketch
-        backend (``num_bitmaps``, ``fringe_size``, ``seed``, …).
+        Forwarded to :class:`ImplicationCountEstimator` (or, for a
+        windowed query, :class:`~repro.windowed.WindowedImplicationEstimator`)
+        on the sketch backend (``num_bitmaps``, ``fringe_size``, ``seed``, …).
 
     >>> engine = QueryEngine(schema)
     >>> engine.register(ImplicationQuery.one_to_one(["destination"], ["source"]))
@@ -384,11 +389,14 @@ class QueryEngine:
                     "rotation per Section 3.2); exact sliding windows would "
                     "require storing the window"
                 )
-            template = ImplicationCountEstimator(
-                query.query.conditions, **self.backend_kwargs
-            )
-            counter = SlidingWindowImplicationCounter(
-                template, window=query.window, panes=query.panes
+            # Imported here: repro.windowed is built on repro.core.
+            from ..windowed.estimator import WindowedImplicationEstimator
+
+            counter = WindowedImplicationEstimator(
+                query.query.conditions,
+                window=query.window,
+                generations=query.generations,
+                **self.backend_kwargs,
             )
             bound = _BoundQuery(query, self.schema, counter, "windowed")
         elif isinstance(query, AggregateQuery):

@@ -39,7 +39,7 @@ from http.client import responses as _REASONS
 from urllib.parse import parse_qs, urlparse
 
 from ..observability import metrics as obs
-from .http import MAX_INGEST_BODY, Response, Router, _error
+from .http import MAX_INGEST_BODY, Response, Router, _content_length, _error
 from .service import ImplicationService
 
 __all__ = ["AsyncServingServer", "build_async_server"]
@@ -189,7 +189,7 @@ class AsyncServingServer:
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
-            length = int(headers.get("content-length", "0") or 0)
+            length = _content_length(headers.get("content-length"))
         except ValueError:
             await self._write_response(
                 writer, _error(400, "malformed Content-Length"), close=True

@@ -103,6 +103,23 @@ def _error(status: int, message: str) -> Response:
     return _json_response({"error": message}, status=status)
 
 
+def _content_length(raw: str | None) -> int:
+    """A request's body length from its raw ``Content-Length`` header.
+
+    A missing or empty header is 0.  Anything but ASCII digits raises
+    ``ValueError``, negative values included: a read of ``-1`` bytes
+    would wait for the client to close, and any other negative length
+    makes the read itself raise.  Both front-ends answer the error with
+    ``400 malformed Content-Length`` and close the connection.
+    """
+    value = (raw or "").strip()
+    if not value:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"malformed Content-Length {raw!r}")
+    return int(value)
+
+
 def _parse_conditions(params: dict[str, list[str]]) -> ImplicationConditions | None:
     """Conditions from raw query params, or ``None`` if none were given."""
     keys = ("min_support", "max_multiplicity", "top_c", "theta")
@@ -505,7 +522,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = b""
             if method == "POST":
                 try:
-                    length = int(self.headers.get("Content-Length", 0) or 0)
+                    length = _content_length(self.headers.get("Content-Length"))
                 except ValueError:
                     self._deliver(_error(400, "malformed Content-Length"))
                     self.close_connection = True

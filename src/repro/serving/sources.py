@@ -38,6 +38,7 @@ from collections import deque
 
 import numpy as np
 
+from ..sketch.hashing import coerce_columns
 from ..verify.streams import generate_stream, profile_names
 
 __all__ = [
@@ -165,14 +166,9 @@ class ArraySource(StreamSource):
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        lhs = np.asarray(lhs, dtype=np.uint64)
-        rhs = np.asarray(rhs, dtype=np.uint64)
-        if lhs.shape != rhs.shape:
-            raise ValueError(
-                f"lhs and rhs must have equal shapes, got {lhs.shape} vs {rhs.shape}"
-            )
-        self.lhs = lhs
-        self.rhs = rhs
+        # The rule every batch entry point applies, checked here so a bad
+        # column fails at construction instead of mid-run.
+        self.lhs, self.rhs = coerce_columns(lhs, rhs)
         self.batch_size = batch_size
         self._description = description
 

@@ -74,8 +74,7 @@ class WindowedImplicationEstimator:
     bitmap generations.
 
     Parameters mirror :class:`~repro.core.estimator.ImplicationCountEstimator`
-    positionally (so ``ImplicationCountEstimator(conditions, window=...)``
-    can construct one transparently), plus:
+    positionally, plus:
 
     window:
         ``W`` — the sliding window, in tuples.  Must be a positive multiple

@@ -32,7 +32,7 @@ from repro.recovery import CheckpointManager, ingest_checkpointed
 from repro.sketch.hashing import HashFamily, encode_items
 from repro.verify.harness import CONDITION_PROFILES
 from repro.verify.streams import generate_stream
-from repro.windowed import DecayingImplicationCounter
+from repro.windowed import DecayingImplicationCounter, WindowedImplicationEstimator
 
 FAMILIES = ["splitmix", "tabulation", "polynomial"]
 
@@ -204,7 +204,7 @@ def test_removed_batch_flags_raise_type_error(flag, tmp_path):
     manager = CheckpointManager(str(tmp_path / "ckpt"))
     entry_points = [
         template.update_batch,
-        ImplicationCountEstimator(conditions, window=64).update_batch,
+        WindowedImplicationEstimator(conditions, window=64).update_batch,
         DecayingImplicationCounter(conditions, half_life=64).update_batch,
         ingestor.ingest,
         lambda a, b, **flags: ingest_checkpointed(
@@ -245,7 +245,7 @@ def _batch_entry(kind, backend, tmp_path):
     conditions = ImplicationConditions(min_support=2)
     prefix = generate_stream("skewed", seed=1, size=6)
     if kind == "windowed":
-        windowed = ImplicationCountEstimator(
+        windowed = WindowedImplicationEstimator(
             conditions, num_bitmaps=8, kernels=backend, window=8
         )
         windowed.update_batch(*prefix)

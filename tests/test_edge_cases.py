@@ -162,23 +162,3 @@ class TestSerializationEdgeCases:
         assert clone.tuples_seen == 0
         assert clone.implication_count() == 0.0
 
-
-class TestSlidingWindowEdges:
-    def test_single_pane(self):
-        from repro.core.incremental import SlidingWindowImplicationCounter
-
-        template = ImplicationCountEstimator(strict(), num_bitmaps=8, seed=9)
-        window = SlidingWindowImplicationCounter(template, window=10, panes=1)
-        for index in range(100):
-            window.update(index, index * 3)
-        assert window.live_panes <= 3
-        assert window.implication_count() >= 0.0
-
-    def test_window_equals_one(self):
-        from repro.core.incremental import SlidingWindowImplicationCounter
-
-        template = ImplicationCountEstimator(strict(), num_bitmaps=8, seed=10)
-        window = SlidingWindowImplicationCounter(template, window=1, panes=1)
-        window.update("a", "b")
-        window.update("c", "d")
-        assert window.implication_count() >= 0.0

@@ -1,16 +1,17 @@
-"""Tests for incremental and sliding-window implication counting (§3.2)."""
+"""Tests for incremental and sliding-window implication counting (§3.2).
+
+Sliding-window counts come from :mod:`repro.windowed`; its rotation,
+expiry and serialization are pinned by ``tests/test_windowed.py``.
+"""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.conditions import ImplicationConditions
 from repro.core.estimator import ImplicationCountEstimator
-from repro.core.incremental import (
-    IncrementalImplicationCounter,
-    SlidingWindowImplicationCounter,
-)
+from repro.core.incremental import IncrementalImplicationCounter
+from repro.windowed import WindowedImplicationEstimator
 
 
 def strict() -> ImplicationConditions:
@@ -79,17 +80,11 @@ class TestIncremental:
 
 
 class TestSlidingWindow:
-    def test_validation(self):
-        template = ImplicationCountEstimator(strict(), seed=1)
-        with pytest.raises(ValueError):
-            SlidingWindowImplicationCounter(template, window=0)
-        with pytest.raises(ValueError):
-            SlidingWindowImplicationCounter(template, window=10, panes=11)
-
     def test_old_contributions_retire(self):
         """Itemsets from long ago must leave the windowed count."""
-        template = ImplicationCountEstimator(strict(), seed=2)
-        window = SlidingWindowImplicationCounter(template, window=1000, panes=4)
+        window = WindowedImplicationEstimator(
+            strict(), seed=2, window=1000, generations=4
+        )
         feed_phase(window, "old", 500)
         count_after_burst = window.implication_count()
         assert count_after_burst > 100
@@ -99,45 +94,11 @@ class TestSlidingWindow:
             window.update("filler", "filler-partner")
         assert window.implication_count() <= count_after_burst / 3
 
-    def test_live_pane_count_is_bounded(self):
-        template = ImplicationCountEstimator(strict(), seed=3)
-        window = SlidingWindowImplicationCounter(template, window=400, panes=4)
-        feed_phase(window, "stream", 2500)
-        assert window.live_panes <= 4 + 2
-
     def test_window_sees_recent_itemsets(self):
-        template = ImplicationCountEstimator(strict(), seed=4)
-        window = SlidingWindowImplicationCounter(template, window=800, panes=4)
+        window = WindowedImplicationEstimator(
+            strict(), seed=4, window=800, generations=4
+        )
         for _ in range(2000):
             window.update("warmup", "warmup-partner")
         feed_phase(window, "recent", 400)
         assert window.implication_count() > 100
-
-    def test_batch_matches_scalar_rotation(self):
-        conditions = strict()
-        scalar = SlidingWindowImplicationCounter(
-            ImplicationCountEstimator(conditions, num_bitmaps=16, seed=5),
-            window=300,
-            panes=3,
-        )
-        batch = SlidingWindowImplicationCounter(
-            ImplicationCountEstimator(conditions, num_bitmaps=16, seed=5),
-            window=300,
-            panes=3,
-        )
-        rng = np.random.default_rng(6)
-        lhs = rng.integers(0, 200, size=1200).astype(np.uint64)
-        rhs = (lhs * np.uint64(31)) & np.uint64(0xFFFF)  # one partner per item
-        for a, b in zip(lhs.tolist(), rhs.tolist()):
-            scalar.update(a, b)
-        batch.update_batch(lhs, rhs)
-        assert scalar.clock == batch.clock
-        assert scalar.live_panes == batch.live_panes
-        assert scalar.implication_count() == batch.implication_count()
-
-    def test_all_estimates_exposed(self):
-        template = ImplicationCountEstimator(strict(), seed=7)
-        window = SlidingWindowImplicationCounter(template, window=100, panes=2)
-        feed_phase(window, "z", 50)
-        assert window.supported_distinct_count() >= 0
-        assert window.nonimplication_count() >= 0

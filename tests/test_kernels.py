@@ -30,6 +30,7 @@ from repro.kernels import (
 from repro.observability import MetricsRegistry, set_registry
 from repro.sketch.hashing import HashFamily, coerce_encoded
 from repro.verify.harness import DifferentialHarness
+from repro.windowed import WindowedImplicationEstimator
 
 COMPILED_AVAILABLE = "compiled" in available_backends()
 
@@ -84,7 +85,7 @@ class TestBackendResolution:
             ImplicationConditions(), kernels="python"
         )
         assert estimator.spawn_sibling().kernels.name == "python"
-        windowed = ImplicationCountEstimator(
+        windowed = WindowedImplicationEstimator(
             ImplicationConditions(), kernels="python", window=8
         )
         windowed.update_batch(np.arange(12), np.arange(12))

@@ -17,6 +17,7 @@ from repro.core.queries import (
     WindowedImplicationQuery,
 )
 from repro.datasets.network import table1_relation
+from repro.windowed import WindowedImplicationEstimator, windowed_state_digest
 
 
 @pytest.fixture
@@ -201,11 +202,61 @@ class TestSketchBackend:
         assert all(value >= 0 for value in results.values())
 
     def test_windowed_requires_sketch(self, engine):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sketch backend"):
+            engine.register(
+                WindowedImplicationQuery(
+                    ImplicationQuery.one_to_one(["service"], ["source"]),
+                    window=12,
+                )
+            )
+
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_windowed_query_equals_direct_windowed_estimator(self, complement):
+        """The Complex Implication class runs on repro.windowed: its state
+        is the one a directly built WindowedImplicationEstimator reaches on
+        the same projected pairs, on and off the pane grid."""
+        kwargs = {"num_bitmaps": 16, "seed": 1}
+        relation = table1_relation()
+        implication = ImplicationQuery.one_to_one(
+            ["destination"], ["source"], complement=complement
+        )
+        engine = QueryEngine(relation.schema, backend="sketch", **kwargs)
+        name = engine.register(
+            WindowedImplicationQuery(implication, window=16, generations=4)
+        )
+        direct = WindowedImplicationEstimator(
+            implication.conditions, window=16, generations=4, **kwargs
+        )
+        project_lhs = relation.schema.projector(["destination"])
+        project_rhs = relation.schema.projector(["source"])
+        rows = list(relation) * 6
+        for cursor in (40, 43):  # step 4: on the pane grid, then off it
+            for row in rows[engine.tuples_seen : cursor]:
+                engine.process_row(row)
+                direct.update(project_lhs(row), project_rhs(row))
+            counter = engine.counter(name)
+            assert windowed_state_digest(counter) == windowed_state_digest(direct)
+            want = (
+                direct.nonimplication_count()
+                if complement
+                else direct.implication_count()
+            )
+            assert engine.result(name) == want
+        assert direct.tuples_in_window == 19  # 16 plus the partial pane
+
+    def test_windowed_query_takes_generations_not_panes(self):
+        query = ImplicationQuery.one_to_one(["service"], ["source"])
+        with pytest.raises(TypeError):
+            WindowedImplicationQuery(query, window=16, panes=4)
+
+    def test_window_must_be_a_multiple_of_generations(self):
+        engine = QueryEngine(table1_relation().schema, backend="sketch")
+        with pytest.raises(ValueError, match="multiple of generations"):
             engine.register(
                 WindowedImplicationQuery(
                     ImplicationQuery.one_to_one(["service"], ["source"]),
                     window=10,
+                    generations=4,
                 )
             )
 

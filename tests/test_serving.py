@@ -147,6 +147,35 @@ class TestSources:
         b = ArraySource(lhs, rhs + np.uint64(1), batch_size=10).describe()
         assert a != b
 
+    def test_array_source_content_address_is_stable(self):
+        # Integer columns address by their uint64 bytes, whatever their
+        # integer dtype, so checkpoints written earlier still resume.
+        for dtype in (np.uint64, np.int64):
+            column = np.arange(5, dtype=dtype)
+            assert ArraySource(column, column).describe() == {
+                "kind": "array", "sha256": "2a7ad9849d3fa429", "tuples": 5
+            }
+        signed = np.array([-1, 3, 2**40], dtype=np.int64)
+        assert ArraySource(signed, signed).describe()["sha256"] == (
+            "c3e1fa7f28c5378d"
+        )
+
+    def test_array_source_rejects_float_columns(self):
+        # The batch entry points refuse floats; the source used to
+        # truncate them to 1, 2, 3 and serve those.
+        floats = np.array([1.7, 2.2, 3.9])
+        with pytest.raises(TypeError):
+            ArraySource(floats, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(TypeError):
+            ArraySource(np.arange(3), floats)
+
+    def test_array_source_rejects_2d_columns(self):
+        # A 4x2 column used to be served as (2, 2) slices that the
+        # service's update_batch then rejected mid-run.
+        grid = np.arange(8, dtype=np.uint64).reshape(4, 2)
+        with pytest.raises(ValueError):
+            ArraySource(grid, grid)
+
     def test_make_source_specs(self):
         assert make_source("profile:bursty", tuples=100).describe()["kind"] == "profile"
         dataset = make_source("dataset-one:cardinality=300,implied=100")
@@ -854,28 +883,32 @@ class TestHTTPEndpoints:
             assert b"--window" in body, path
 
     def test_malformed_content_length_answers_400(self, served):
-        """Both front-ends must answer a clean 400 — the threaded handler
-        used to let int() raise out of _handle, dumping a socketserver
-        traceback and aborting the connection."""
+        """Both front-ends must answer a clean 400 and close, for a
+        non-integer and for negative lengths.  The threaded handler used
+        to let int() raise out of _handle on ``abc`` (a socketserver
+        traceback, no response); on ``-1`` it read until the client
+        closed, and on ``-5`` the read raised.  The asyncio reader dropped
+        both negative lengths without a response."""
         _, port, _ = served
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-            sock.sendall(
-                b"POST /ingest HTTP/1.1\r\n"
-                b"Host: x\r\nContent-Length: abc\r\n\r\n"
-            )
-            sock.settimeout(10)
-            chunks = []
-            while True:
-                try:
-                    data = sock.recv(65536)
-                except socket.timeout:
-                    break
-                if not data:
-                    break
-                chunks.append(data)
-        reply = b"".join(chunks)
-        assert reply.startswith(b"HTTP/1.1 400"), reply
-        assert b"Content-Length" in reply
+        for length in (b"abc", b"-1", b"-5"):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(
+                    b"POST /ingest HTTP/1.1\r\n"
+                    b"Host: x\r\nContent-Length: " + length + b"\r\n\r\n"
+                )
+                chunks = []
+                closed = False
+                while not closed:
+                    try:
+                        data = sock.recv(65536)
+                    except socket.timeout:
+                        break
+                    closed = not data
+                    chunks.append(data)
+            reply = b"".join(chunks)
+            assert reply.startswith(b"HTTP/1.1 400"), (length, reply)
+            assert b"malformed Content-Length" in reply, length
+            assert closed, length
 
     def test_windowed_snapshot_refused_without_window(self, served):
         """A landmark-only service must refuse ``/snapshot?window=1``

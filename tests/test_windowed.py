@@ -102,17 +102,16 @@ def drive(windowed, lhs, rhs) -> None:
 
 
 class TestConstruction:
-    def test_window_kwarg_dispatches_from_estimator_constructor(self):
-        built = ImplicationCountEstimator(
-            STRICT, num_bitmaps=8, seed=3, window=64, window_generations=2
-        )
-        assert isinstance(built, WindowedImplicationEstimator)
-        assert built.window == 64
-        assert built.generations == 2
-        assert built.num_bitmaps == 8
-        # Same placement family as a directly-built windowed estimator.
-        direct = make_windowed(window=64, generations=2, seed=3)
-        assert repr(built.hash_function) == repr(direct.hash_function)
+    def test_estimator_constructor_refuses_window_kwargs(self):
+        # WindowedImplicationEstimator is the one sliding-window class; the
+        # landmark constructor no longer switches type on window=.
+        for kwargs in (
+            {"window": 64},
+            {"window": 64, "window_generations": 2},
+            {"window": 64, "generations": 2},
+        ):
+            with pytest.raises(TypeError):
+                ImplicationCountEstimator(STRICT, num_bitmaps=8, **kwargs)
 
     def test_without_window_constructor_stays_landmark(self):
         built = ImplicationCountEstimator(STRICT, num_bitmaps=8)
@@ -201,6 +200,40 @@ class TestRotation:
         windowed = make_windowed()
         with pytest.raises(ValueError, match="align"):
             windowed.update_batch(np.arange(3), np.arange(4))
+
+    def test_single_generation_window(self):
+        windowed = make_windowed(window=10, generations=1)
+        lhs = np.arange(100, dtype=np.int64)
+        drive(windowed, lhs, lhs * 3)
+        assert windowed.live_origins() == [90]
+        assert windowed.tuples_in_window == 10
+        windowed.update(100, 300)
+        assert windowed.live_origins() == [90, 100]
+        assert windowed.tuples_in_window == 11
+
+    def test_window_of_one_tuple(self):
+        windowed = make_windowed(window=1, generations=1)
+        windowed.update("a", "b")
+        windowed.update("c", "d")
+        assert windowed.live_origins() == [1]
+        assert windowed.tuples_in_window == 1
+        landmark = ImplicationCountEstimator(
+            STRICT, num_bitmaps=8, hash_function=windowed.hash_function
+        )
+        landmark.update("c", "d")
+        assert windowed.implication_count() == landmark.implication_count()
+
+    def test_readouts_come_from_the_merged_window(self):
+        lhs, rhs = generate_stream("skewed", 16, 150)
+        windowed = make_windowed(window=64, generations=4)
+        drive(windowed, lhs, rhs)
+        merged = windowed.merged()
+        assert windowed.implication_count() == merged.implication_count()
+        assert windowed.nonimplication_count() == merged.nonimplication_count()
+        assert windowed.supported_distinct_count() == (
+            merged.supported_distinct_count()
+        )
+        assert windowed.supported_distinct_count() > 0
 
 
 # --------------------------------------------------------------------- #
