@@ -179,12 +179,15 @@ class ImplicationCountEstimator:
 
         ``lhs[i]`` and ``rhs[i]`` are the encoded LHS/RHS itemsets of tuple
         ``i`` (``uint64``; see :func:`repro.sketch.hashing.combine_encoded`
-        for compound attributes).  Hashing, routing and cell placement are
-        done in numpy; only tuples whose cell is at or beyond their bitmap's
-        fringe start — the ones that can change state — are handed to
-        :meth:`NIPSBitmap.update_at`, one call per row in stream order.
-        Tuples that land in Zone-1 (the vast majority on a long stream) cost
-        a few vector ops in aggregate.
+        for compound attributes).  On the python backend, hashing, routing
+        and cell placement are done in numpy; only tuples whose cell is at
+        or beyond their bitmap's fringe start — the ones that can change
+        state — are handed to :meth:`NIPSBitmap.update_at`, one call per
+        row in stream order.  Tuples that land in Zone-1 (the vast majority
+        on a long stream) cost a few vector ops in aggregate.  The compiled
+        backend replays the same blocks in C and, under the default
+        :class:`~repro.sketch.hashing.SplitMix64Hash`, hashes and places
+        each row there too (DESIGN.md §11).
 
         The result is bit-for-bit the scalar loop (one :meth:`update` per
         tuple) on every stream and condition profile: the Zone-1 filter

@@ -4,7 +4,10 @@ The kernel is a line-for-line port of the Python hot path — the block
 filter/credit loop of :meth:`ImplicationCountEstimator.update_batch` and
 the :meth:`NIPSBitmap.update_at` / :meth:`ItemsetState.observe` cell
 machinery, replayed one row at a time in stream order — operating on flat
-arrays instead of dicts.
+arrays instead of dicts.  For the default :class:`SplitMix64Hash` the
+block loop also hashes each row and places it (the paper's O(1) Zone-1
+path: one hash, one route, one cell position, one comparison); the other
+hash families hand in a column their numpy ``hash_array`` produced.
 State is imported from the Python dicts at the start of each batch and
 exported back at the end; insertion order of the rebuilt dicts is the
 kernel's own deterministic table order, which is legal because
@@ -60,6 +63,13 @@ typedef struct {
 } Engine;
 
 #define GOLD 0x9E3779B97F4A7C15ULL
+
+/* SplitMix64 finalizer: SplitMix64Hash.mix(v) is splitmix64(v + gamma). */
+static inline uint64_t splitmix64(uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
 
 /* ---------------------------------------------------------------- */
 /* Partner tables                                                   */
@@ -398,8 +408,14 @@ int repro_engine_load_items(Engine *e, int64_t n_items,
 /* the live geometry — so the result is the scalar loop's, bit-for-bit. */
 /* (The Python path's per-8192-row re-filter only saves Python calls;   */
 /* here update_at_c's own Zone-1 check is just as cheap.)               */
+/* hashed == NULL hashes each row here as splitmix64(lhs + gamma).      */
+/* The cell is the route's least significant set bit.  ctz compiles    */
+/* inline on baseline x86-64 and arm64, where popcount of the isolated  */
+/* bit is a libgcc call without -mpopcnt; the guard keeps the scalar    */
+/* rule least_significant_bit(0) == 64, and ctz(0) is undefined.        */
 int repro_engine_run_batch(Engine *e, int64_t n, const uint64_t *hashed,
-                           const uint64_t *lhs, const uint64_t *rhs) {
+                           uint64_t gamma, const uint64_t *lhs,
+                           const uint64_t *rhs) {
     uint64_t idx_mask = (uint64_t)(e->m - 1);
     int64_t off = 0, bs = 512;
     while (off < n) {
@@ -408,10 +424,10 @@ int repro_engine_run_batch(Engine *e, int64_t n, const uint64_t *hashed,
         for (int64_t b = 0; b < e->m; b++)
             e->starts[b] = e->bitmaps[b].fringe_start;
         for (int64_t i = off; i < bend; i++) {
-            uint64_t h = hashed[i];
+            uint64_t h = hashed ? hashed[i] : splitmix64(lhs[i] + gamma);
             int64_t b = (int64_t)(h & idx_mask);
             uint64_t r = h >> e->route_bits;
-            int64_t p = __builtin_popcountll((r & (0 - r)) - 1);
+            int64_t p = r ? __builtin_ctzll(r) : 64;
             if (p > e->length - 1) p = e->length - 1;
             if (p < e->starts[b]) {
                 e->bitmaps[b].tuples_seen += 1;
@@ -506,10 +522,7 @@ void repro_poly_hash(int64_t n, const uint64_t *in, uint64_t *out,
             unsigned __int128 t = (unsigned __int128)acc * x + coeffs_rev[d];
             acc = (uint64_t)(t % P);
         }
-        uint64_t z = acc + gamma;
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-        out[i] = z ^ (z >> 31);
+        out[i] = splitmix64(acc + gamma);
     }
 }
 """

@@ -10,10 +10,13 @@ temp name, ``os.replace`` into place) so concurrent processes race safely.
 
 :func:`run_update_batch` is the single entry point the estimator calls: it
 exports the estimator's dict-shaped state into flat arrays, replays the
-batch in C, and imports the resulting state back.  Any state the flat
-encoding cannot represent (non-integer itemset keys from the scalar API,
-out-of-range counters) makes it return ``None`` *before any mutation*, and
-the caller falls back to the Python reference path.
+batch in C, and imports the resulting state back.  Under the default
+:class:`SplitMix64Hash` the kernel also hashes, routes and places every
+row itself; other hash families hand it a column hashed by their numpy
+``hash_array``.  Any state the flat encoding cannot represent (non-integer
+itemset keys from the scalar API, out-of-range counters) makes it return
+``None`` *before any mutation*, and the caller falls back to the Python
+reference path.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..sketch.hashing import SplitMix64Hash
 from ._csource import CSOURCE
 
 __all__ = [
@@ -130,7 +134,7 @@ def _build_and_load() -> ctypes.CDLL:
     ]
     lib.repro_engine_run_batch.restype = ctypes.c_int
     lib.repro_engine_run_batch.argtypes = [
-        ctypes.c_void_p, _I64, _P_U64, _P_U64, _P_U64,
+        ctypes.c_void_p, _I64, _P_U64, _U64, _P_U64, _P_U64,
     ]
     lib.repro_engine_counters.argtypes = [ctypes.c_void_p, _P_I64]
     lib.repro_engine_export_bitmaps.argtypes = [
@@ -318,6 +322,12 @@ def run_update_batch(estimator, lhs, rhs):
     ``None`` means "this state can't ride the flat encoding" (or the C
     engine refused the geometry / ran out of memory): the caller must run
     the Python path instead.  The estimator is never mutated on ``None``.
+
+    When the estimator's hash is exactly :class:`SplitMix64Hash` (the
+    default everywhere) no hashed column is built: the kernel mixes each
+    row with the hash's ``gamma`` inside its block loop.  Any other hash —
+    including a subclass that overrides ``mix`` — is applied here through
+    its ``hash_array`` and handed in as a column.
     """
     lib = load_library()
     exported = _export_state(estimator)
@@ -354,14 +364,20 @@ def run_update_batch(estimator, lhs, rhs):
             _ptr(pweights, _P_I64),
         ):
             return None
-        hashed = np.ascontiguousarray(
-            estimator.hash_function.hash_array(lhs), dtype=np.uint64
-        )
+        hash_function = estimator.hash_function
+        if type(hash_function) is SplitMix64Hash:
+            hashed, gamma = None, hash_function.gamma
+        else:
+            hashed = np.ascontiguousarray(
+                hash_function.hash_array(lhs), dtype=np.uint64
+            )
+            gamma = 0
         lhs = np.ascontiguousarray(lhs, dtype=np.uint64)
         rhs = np.ascontiguousarray(rhs, dtype=np.uint64)
         if lib.repro_engine_run_batch(
-            engine, len(lhs), _ptr(hashed, _P_U64), _ptr(lhs, _P_U64),
-            _ptr(rhs, _P_U64),
+            engine, len(lhs),
+            None if hashed is None else _ptr(hashed, _P_U64), _U64(gamma),
+            _ptr(lhs, _P_U64), _ptr(rhs, _P_U64),
         ):
             return None
         counters = np.empty(3, dtype=np.int64)

@@ -170,6 +170,19 @@ class ArraySource(StreamSource):
         # column fails at construction instead of mid-run.
         self.lhs, self.rhs = coerce_columns(lhs, rhs)
         self.batch_size = batch_size
+        if description is None:
+            # Content-address anonymous arrays so a resume against
+            # different data is rejected rather than silently diverging.
+            # Hashed once, here: the service describes its source on
+            # every durable commit.
+            digest = hashlib.sha256()
+            digest.update(self.lhs.tobytes())
+            digest.update(self.rhs.tobytes())
+            description = {
+                "kind": "array",
+                "sha256": digest.hexdigest()[:16],
+                "tuples": int(len(self.lhs)),
+            }
         self._description = description
 
     def batch(self, cursor: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -179,18 +192,7 @@ class ArraySource(StreamSource):
         return self.lhs[cursor:stop], self.rhs[cursor:stop]
 
     def describe(self) -> dict:
-        if self._description is not None:
-            return dict(self._description)
-        # Content-address anonymous arrays so a resume against different
-        # data is rejected rather than silently diverging.
-        digest = hashlib.sha256()
-        digest.update(self.lhs.tobytes())
-        digest.update(self.rhs.tobytes())
-        return {
-            "kind": "array",
-            "sha256": digest.hexdigest()[:16],
-            "tuples": int(len(self.lhs)),
-        }
+        return dict(self._description)
 
 
 class PushBacklogFull(RuntimeError):
@@ -288,15 +290,13 @@ class PushSource(StreamSource):
         Raises :class:`PushBacklogFull` when the chunk does not fit —
         atomically: a rejected push buffers nothing, so the client can
         retry the identical chunk after backing off.  Raises
-        ``ValueError`` on malformed chunks or pushes after ``close()``.
+        ``ValueError`` on malformed chunks or pushes after ``close()``,
+        and ``TypeError`` on float or bool chunks (the rule of every batch
+        entry point, :func:`coerce_columns`).
         """
-        lhs = np.ascontiguousarray(lhs, dtype=np.uint64)
-        rhs = np.ascontiguousarray(rhs, dtype=np.uint64)
-        if lhs.ndim != 1 or lhs.shape != rhs.shape:
-            raise ValueError(
-                f"push chunks must be equal-length 1-d arrays, got "
-                f"{lhs.shape} vs {rhs.shape}"
-            )
+        lhs, rhs = coerce_columns(lhs, rhs)
+        lhs = np.ascontiguousarray(lhs)
+        rhs = np.ascontiguousarray(rhs)
         with self._state:
             if self._closed:
                 raise ValueError("push after close(): the stream has ended")

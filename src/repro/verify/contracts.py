@@ -36,6 +36,7 @@ from ..core.serialize import estimator_state_digest
 from ..distributed.coordinator import Coordinator
 from ..kernels.backend import available_backends
 from ..sketch.fm import PCSA
+from ..sketch.hashing import HashFamily
 from ..sketch.kmv import KMinimumValues
 from ..sketch.linear_counting import LinearCounter
 from ..sketch.loglog import HyperLogLog, LogLog
@@ -154,6 +155,10 @@ def _check_batch_scalar_replay(case: StreamCase) -> str | None:
     return None
 
 
+#: Families whose compiled ``update_batch`` receives a hashed column.
+_PREHASHED_FAMILIES = ("multiply-shift", "polynomial", "tabulation")
+
+
 def _check_kernel_backend_equivalence(case: StreamCase) -> str | None:
     """Compiled and python backends are the same machine, different fuel.
 
@@ -162,14 +167,29 @@ def _check_kernel_backend_equivalence(case: StreamCase) -> str | None:
     sticky semantics must land identically — the only thing allowed to
     differ is the execution vehicle.  Passes trivially (``None``) on hosts
     where the compiled backend cannot build.
+
+    Checked twice: with the case's default SplitMix64 hash, which the
+    kernel computes in its block loop, and with one other family (rotated
+    by ``case.seed``), which reaches the kernel as a pre-hashed column.
     """
     if "compiled" not in available_backends():
         return None
-    python = case.make(kernels="python")
-    python.update_batch(case.lhs, case.rhs)
-    compiled = case.make(kernels="compiled")
-    compiled.update_batch(case.lhs, case.rhs)
-    return _compare_states("python", python, "compiled", compiled)
+    family = _PREHASHED_FAMILIES[case.seed % len(_PREHASHED_FAMILIES)]
+    hash_functions = {
+        "splitmix": None,  # the case's own default hash
+        family: HashFamily(family, seed=case.hash_seed).one(),
+    }
+    for kind, hash_function in hash_functions.items():
+        python = case.make(kernels="python", hash_function=hash_function)
+        python.update_batch(case.lhs, case.rhs)
+        compiled = case.make(kernels="compiled", hash_function=hash_function)
+        compiled.update_batch(case.lhs, case.rhs)
+        message = _compare_states(
+            f"python/{kind}", python, f"compiled/{kind}", compiled
+        )
+        if message is not None:
+            return message
+    return None
 
 
 # --------------------------------------------------------------------- #

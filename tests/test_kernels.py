@@ -142,25 +142,60 @@ class TestColdStartFallback:
         assert report.ok, [v.describe() for v in report.violations]
 
 
+#: SplitMix64 is hashed inside the kernel's block loop; the other
+#: families hand the kernel a column from their numpy ``hash_array``.
+HASH_KINDS = ["splitmix", "multiply-shift", "polynomial", "tabulation"]
+
+
+def splitmix_preimage(hash_function, target: int) -> int:
+    """The encoded value ``v`` with ``hash_function.mix(v) == target``.
+
+    Undoes the SplitMix64 finalizer step by step: each xorshift is undone
+    by re-applying it until the high bits propagate down, each odd
+    multiplier by its inverse mod 2**64, and the increment by subtraction.
+    """
+    mask = (1 << 64) - 1
+
+    def unxorshift(value: int, shift: int) -> int:
+        result = value
+        for _ in range(64 // shift + 1):
+            result = value ^ (result >> shift)
+        return result
+
+    z = unxorshift(target, 31)
+    z = unxorshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+    z = unxorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+    value = (z - hash_function.gamma) & mask
+    assert hash_function.mix(value) == target
+    return value
+
+
 @needs_compiled
 class TestCompiledEquivalence:
-    def test_digest_matches_python_all_paths(self):
+    @pytest.mark.parametrize("kind", HASH_KINDS)
+    def test_digest_matches_python_all_paths(self, kind):
         conditions, lhs, rhs = small_stream()
         states = {}
         for backend in ("python", "compiled"):
             estimator = ImplicationCountEstimator(
-                conditions, num_bitmaps=16, seed=3, kernels=backend
+                conditions, num_bitmaps=16, kernels=backend,
+                hash_function=HashFamily(kind, seed=3).one(),
             )
             estimator.update_batch(lhs, rhs)
             states[backend] = estimator_state_digest(estimator)
         assert states["python"] == states["compiled"]
 
-    def test_sequential_batches_round_trip_state(self):
+    @pytest.mark.parametrize("kind", HASH_KINDS)
+    def test_sequential_batches_round_trip_state(self, kind):
         """Multi-batch ingest exercises the C engine's state import."""
         conditions, lhs, rhs = small_stream()
-        python = ImplicationCountEstimator(conditions, seed=1, kernels="python")
+        python = ImplicationCountEstimator(
+            conditions, kernels="python",
+            hash_function=HashFamily(kind, seed=1).one(),
+        )
         compiled = ImplicationCountEstimator(
-            conditions, seed=1, kernels="compiled"
+            conditions, kernels="compiled",
+            hash_function=HashFamily(kind, seed=1).one(),
         )
         for begin, end in ((0, 400), (400, 1000), (1000, len(lhs))):
             python.update_batch(lhs[begin:end], rhs[begin:end])
@@ -168,6 +203,50 @@ class TestCompiledEquivalence:
         assert estimator_state_digest(python) == estimator_state_digest(
             compiled
         )
+
+    @pytest.mark.parametrize("length", [None, 10])
+    def test_zero_route_rows_land_on_the_top_cell(self, length):
+        """A hash whose route bits are all zero places at
+        ``least_significant_bit(0) == 64``, clamped to ``length - 1`` —
+        the kernel's guarded ctz must agree (ctz(0) is undefined)."""
+        conditions, lhs, rhs = small_stream()
+        num_bitmaps = 8
+
+        def make(kernels):
+            return ImplicationCountEstimator(
+                conditions, num_bitmaps=num_bitmaps, length=length, seed=5,
+                kernels=kernels,
+            )
+
+        probe = make("python")
+        top = probe.length - 1
+        hash_function = probe.hash_function
+        # Ordinary rows that stay below the top cell, so only the
+        # zero-route rows reach it (one per bitmap: no overflow).
+        routed = hash_function.hash_array(lhs) >> np.uint64(probe.route_bits)
+        below = np.array(
+            [0 < r and (r & -r).bit_length() - 1 < top for r in routed.tolist()]
+        )
+        lhs, rhs = lhs[below], rhs[below]
+        # hash == b: bitmap b, route bits all zero.
+        zero_keys = [splitmix_preimage(hash_function, b) for b in range(num_bitmaps)]
+        slots = np.linspace(0, len(lhs), num_bitmaps, dtype=np.int64)
+        lhs = np.insert(lhs, slots, np.array(zero_keys, dtype=np.uint64))
+        rhs = np.insert(rhs, slots, np.arange(num_bitmaps, dtype=np.uint64))
+        scalar = make("python")
+        for itemset, partner in zip(lhs.tolist(), rhs.tolist()):
+            scalar.update(itemset, partner)
+        python, compiled = make("python"), make("compiled")
+        python.update_batch(lhs, rhs)
+        compiled.update_batch(lhs, rhs)
+        digest = estimator_state_digest(scalar)
+        assert estimator_state_digest(python) == digest
+        assert estimator_state_digest(compiled) == digest
+        for estimator in (scalar, python, compiled):
+            for b, key in enumerate(zero_keys):
+                bitmap = estimator.bitmaps[b]
+                assert bitmap.rightmost_hashed == top
+                assert key in bitmap._cells[top]
 
     def test_unrepresentable_state_falls_back(self, registry):
         """Scalar-API string itemsets cannot ride the flat C encoding;

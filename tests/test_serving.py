@@ -9,6 +9,7 @@ run, and ``/metrics`` never 500s under concurrent load.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -160,6 +161,28 @@ class TestSources:
             "c3e1fa7f28c5378d"
         )
 
+    def test_array_source_hashes_its_columns_once(self, monkeypatch):
+        # The service describes its source on every durable commit; an
+        # anonymous source used to re-hash both whole columns each time.
+        from repro.serving import sources
+
+        constructions = []
+
+        def counting_sha256(*args):
+            constructions.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(
+            sources, "hashlib", SimpleNamespace(sha256=counting_sha256)
+        )
+        column = np.arange(1000, dtype=np.uint64)
+        source = ArraySource(column, column)
+        described = [source.describe() for _ in range(3)]
+        assert len(constructions) <= 1
+        assert described[0] == described[1] == described[2]
+        described[0]["tuples"] = -1  # callers get their own copy
+        assert source.describe()["tuples"] == 1000
+
     def test_array_source_rejects_float_columns(self):
         # The batch entry points refuse floats; the source used to
         # truncate them to 1, 2, 3 and serve those.
@@ -251,11 +274,33 @@ class TestPushSource:
 
     def test_push_validation(self):
         source = PushSource(batch_size=4)
-        with pytest.raises(ValueError, match="equal-length"):
+        with pytest.raises(ValueError, match="equal shapes"):
             source.push(_column([1, 2]), _column([1]))
+        grid = np.arange(8, dtype=np.uint64).reshape(4, 2)
+        with pytest.raises(ValueError, match="1-D"):
+            source.push(grid, grid)
         source.close()
         with pytest.raises(ValueError, match="close"):
             source.push(_column([1]), _column([1]))
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [np.array([1.7, 2.2]), np.array([True, False])],
+        ids=["float", "bool"],
+    )
+    def test_push_rejects_float_and_bool_chunks(self, chunk):
+        # update_batch and ArraySource refuse these; push used to truncate
+        # floats to [1, 2] and bools to [1, 0] and serve them.
+        source = PushSource(batch_size=2)
+        source.resume_at(3)
+        source.push(_column([5, 6]), _column([7, 8]))  # one skip left
+        pending, skipped = source.pending_tuples, source.skipped_tuples
+        with pytest.raises(TypeError):
+            source.push(chunk, _column([3, 4]))
+        with pytest.raises(TypeError):
+            source.push(_column([3, 4]), chunk)
+        assert source.pending_tuples == pending
+        assert source.skipped_tuples == skipped
 
     def test_wait_batch_wakes_on_stop_event(self):
         source = PushSource(batch_size=4)
