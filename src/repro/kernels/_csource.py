@@ -14,6 +14,15 @@ kernel's own deterministic table order, which is legal because
 ``estimator_state_digest`` (and every state comparison in the test suite)
 canonicalizes insertion order away by sorting.
 
+One field has no Python counterpart: ``ItemState.recheck_at``, a
+confidence certificate.  A top-c scan that passes at support S with mass M
+proves every support up to the largest L with ``M / L >= theta`` passes too
+(the mass never shrinks), so the fringe path skips the O(K) partner scan
+until the support passes L, and a confident itemset's fringe rows cost
+amortized O(1).  The multiplicity checks still run on every row.  The field
+is derived: it is never imported, exported or digested, and every engine
+starts it at 0 (DESIGN.md §11, "Certified confidence").
+
 The source string is hashed (see :mod:`repro.kernels.compiled`) so a cache
 entry is keyed to the exact kernel code that produced it.
 """
@@ -32,6 +41,7 @@ typedef struct { uint64_t key; int64_t val; } Slot;
 
 typedef struct {
     int64_t support;
+    int64_t recheck_at;        /* confidence certified below this     */
     int32_t pcount, pcap;      /* live partner count / table capacity */
     uint8_t mult_exceeded;     /* sticky multiplicity flag            */
     uint8_t dropped;           /* partners == None                    */
@@ -167,7 +177,7 @@ static ItemState *cell_insert(Cell *c, uint64_t key) {
     while (c->used[j]) j = (j + 1) & (c->cap - 1);
     c->keys[j] = key; c->used[j] = 1; c->count++;
     ItemState *st = &c->vals[j];
-    st->support = 0; st->pcount = 0; st->pcap = 0;
+    st->support = 0; st->recheck_at = 0; st->pcount = 0; st->pcap = 0;
     st->mult_exceeded = 0; st->dropped = 0; st->partners = NULL;
     return st;
 }
@@ -186,9 +196,10 @@ static int64_t cell_capacity(const Engine *e, const Bitmap *bm, int64_t pos) {
     if (e->fringe_size < 0) return -1;           /* unbounded */
     int64_t depth = fringe_end(e, bm) - pos;
     if (depth < 0) depth = 0;
-    if (depth >= 62) return INT64_MAX;
-    int64_t cap = e->slack << depth;
-    return cap;
+    /* Python's slack << depth is unbounded; saturate where the shift   */
+    /* would overflow int64 (no cell count reaches INT64_MAX).          */
+    if (e->slack > (INT64_MAX >> depth)) return INT64_MAX;
+    return e->slack << depth;
 }
 
 static void cell_free_at(Bitmap *bm, int64_t pos) {
@@ -226,15 +237,38 @@ static void float_to(Engine *e, Bitmap *bm, int64_t new_start) {
 /* Cell machinery: ItemsetState.evaluate and NIPSBitmap.update_at    */
 /* ---------------------------------------------------------------- */
 
-/* Whether a state at minimum support violates the conditions.       */
-static int state_violated(Engine *e, const ItemState *st) {
+/* Confidence certificate: the largest support L at which top-c mass  */
+/* M still passes, (double)M / L >= theta.  The mass never shrinks     */
+/* (counts only grow, a new partner starts at 1, and a dropped table   */
+/* means the multiplicity violation has already latched), and a        */
+/* correctly rounded division is monotone in both operands, so every   */
+/* support up to L passes without a scan.  The guess M / theta is      */
+/* capped at 2S + 2^20, so it converts to int64 in range (theta may be */
+/* tiny), then walked onto the scan's own test; the walk takes a step  */
+/* or two, and a horizon shorter than L would still be safe.           */
+static int64_t confidence_horizon(int64_t mass, int64_t support, double theta) {
+    int64_t cap = 2 * support + ((int64_t)1 << 20);
+    double guess = (double)mass / theta;
+    int64_t horizon = guess < (double)cap ? (int64_t)guess : cap;
+    while (horizon > support && (double)mass / (double)horizon < theta)
+        horizon--;
+    while (horizon < cap && (double)mass / (double)(horizon + 1) >= theta)
+        horizon++;
+    return horizon;
+}
+
+/* Whether a state at minimum support violates the conditions.  The    */
+/* multiplicity checks run on every row; the top-c scan only once the  */
+/* support reaches the state's certificate, and a scan that passes     */
+/* renews it.  recheck_at is derived, never exported: every engine     */
+/* starts it at 0, so the first check after an import always scans.    */
+static int state_violated(Engine *e, ItemState *st) {
     if (st->mult_exceeded
         || (e->max_mult >= 0 && !st->dropped && st->pcount > e->max_mult))
         return 1;
-    if (e->theta <= 0.0) return 0;
-    double confidence = 0.0;
+    if (e->theta <= 0.0 || st->support < st->recheck_at) return 0;
+    int64_t mass = 0;
     if (!st->dropped && st->pcount > 0) {
-        int64_t mass = 0;
         if (st->pcount <= e->top_c) {
             for (int32_t i = 0; i < st->pcap; i++)
                 mass += st->partners[i].val ? st->partners[i].val : 0;
@@ -264,9 +298,10 @@ static int state_violated(Engine *e, const ItemState *st) {
             }
             for (int64_t j = 0; j < filled; j++) mass += top[j];
         }
-        confidence = (double)mass / (double)st->support;
     }
-    return confidence < e->theta;
+    if ((double)mass / (double)st->support < e->theta) return 1;
+    st->recheck_at = confidence_horizon(mass, st->support, e->theta) + 1;
+    return 0;
 }
 
 /* One tuple whose itemset hashes to (b, pos).  Returns -1 on OOM.   */

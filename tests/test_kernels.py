@@ -280,6 +280,156 @@ class TestCompiledEquivalence:
         estimator.update_batch(lhs, rhs)
         assert registry.gauge("kernels.backend").value == 0.0
 
+    def test_deep_fringe_capacity_saturates(self, registry):
+        """With 64 bitmaps a cell can sit 57 places below the fringe end,
+        where ``slack << depth`` is 2**63: past int64, so the kernel must
+        saturate the capacity instead of shifting into the sign bit."""
+        rng = np.random.default_rng(0)
+        lhs = rng.integers(0, 1 << 63, size=5000, dtype=np.uint64)
+        rhs = rng.integers(0, 1 << 63, size=5000, dtype=np.uint64)
+        digests = {}
+        for backend in ("python", "compiled"):
+            estimator = ImplicationCountEstimator(
+                ImplicationConditions(min_support=2), num_bitmaps=64,
+                fringe_size=58, capacity_slack=64, seed=1, kernels=backend,
+            )
+            estimator.update_batch(lhs, rhs)
+            digests[backend] = estimator_state_digest(estimator)
+        assert digests["python"] == digests["compiled"]
+        assert registry.counter("kernels.fallbacks").value == 0
+
+
+def tracked_cells(estimator):
+    """The (bitmap, position) pairs whose cell still holds counters."""
+    return {
+        (b, position)
+        for b, bitmap in enumerate(estimator.bitmaps)
+        for position in bitmap._cells
+    }
+
+
+@needs_compiled
+class TestConfidenceCertificate:
+    """Once a top-c scan passes with mass M at support S, the kernel skips
+    the scan for every support L with ``M / L >= theta`` (DESIGN §11):
+    every row must still reach the scalar loop's decision at its own row.
+
+    Each case compares the compiled digest with the python-batch and scalar
+    digests at named prefixes, feeding the batch paths whole and cut inside
+    a certified run (a cut starts a fresh engine, whose certificates start
+    empty)."""
+
+    @pytest.fixture(autouse=True)
+    def _no_fallback(self, registry):
+        yield
+        # A declined batch would run the python path and match trivially.
+        assert registry.counter("kernels.fallbacks").value == 0
+
+    def scalar_at(self, make, lhs, rhs, prefixes):
+        """The scalar loop's digest and tracked cells per prefix."""
+        scalar = make("python")
+        found = {}
+        for row, (itemset, partner) in enumerate(
+            zip(lhs.tolist(), rhs.tolist()), start=1
+        ):
+            scalar.update(itemset, partner)
+            if row in prefixes:
+                found[row] = (
+                    estimator_state_digest(scalar), tracked_cells(scalar)
+                )
+        return found
+
+    def check(self, conditions, lhs, rhs, prefixes, cuts, **geometry):
+        def make(kernels):
+            return ImplicationCountEstimator(
+                conditions, seed=3, kernels=kernels, **geometry
+            )
+
+        lhs = np.asarray(lhs, dtype=np.uint64)
+        rhs = np.asarray(rhs, dtype=np.uint64)
+        scalar = self.scalar_at(make, lhs, rhs, set(prefixes))
+        for prefix in prefixes:
+            for cut in [[]] + cuts:
+                bounds = [0] + [c for c in cut if c < prefix] + [prefix]
+                for kernels in ("python", "compiled"):
+                    estimator = make(kernels)
+                    for begin, end in zip(bounds, bounds[1:]):
+                        estimator.update_batch(lhs[begin:end], rhs[begin:end])
+                    assert estimator_state_digest(estimator) == scalar[prefix][0], (
+                        kernels, prefix, cut
+                    )
+        return {prefix: scalar[prefix][1] for prefix in prefixes}
+
+    def test_exact_boundary_violates_at_its_row(self):
+        """100 rows of (a, A), then (a, B): the top-1 mass stays 100, and
+        support 125 reads exactly 0.8 (must hold) while 126 must set the
+        cell at that very row, though the scan at support 117 certified
+        confidence up to 125."""
+        lhs = [7] * 140
+        rhs = [1] * 100 + [2] * 40
+        cells = self.check(
+            ImplicationConditions(min_support=1, top_c=1, min_top_confidence=0.8),
+            lhs, rhs, prefixes=[100, 125, 126], cuts=[[113], [60, 120]],
+            fringe_size=None,
+        )
+        assert len(cells[125]) == 1 and not cells[126]
+
+    def test_theta_one_never_extends(self):
+        """At theta = 1.0 the horizon is the support itself, so every row
+        scans; the first foreign partner violates at its own row."""
+        lhs = [7] * 80
+        rhs = [1] * 60 + [2] * 20
+        cells = self.check(
+            ImplicationConditions(min_support=1, top_c=1, min_top_confidence=1.0),
+            lhs, rhs, prefixes=[60, 61], cuts=[[30]], fringe_size=None,
+        )
+        assert len(cells[60]) == 1 and not cells[61]
+
+    @pytest.mark.parametrize("theta", [1e-12, 5e-324])
+    def test_tiny_theta_horizon_is_capped(self, theta):
+        """``M / theta`` lies beyond any support (and is inf for the
+        subnormal theta): the horizon is capped before it becomes an
+        integer, and 200k rows of one itemset never violate."""
+        rows = 200_000
+        lhs = np.full(rows, 7, dtype=np.uint64)
+        rhs = np.arange(rows, dtype=np.uint64) % np.uint64(3)
+        cells = self.check(
+            ImplicationConditions(
+                min_support=1, top_c=1, min_top_confidence=theta
+            ),
+            lhs, rhs, prefixes=[rows], cuts=[[65_537]], fringe_size=None,
+        )
+        assert len(cells[rows]) == 1
+
+    def test_top2_mass_across_more_partners_than_c(self):
+        """c = 2: 40 rows each of A and B (pcount <= c, mass = support),
+        then alternating C and D (pcount > c, the top-2 selection) hold
+        the mass at 80, so support 107 (80/107 < 0.75) must violate."""
+        lhs = [7] * 140
+        rhs = [1, 2] * 40 + [3, 4] * 30
+        cells = self.check(
+            ImplicationConditions(min_support=1, top_c=2, min_top_confidence=0.75),
+            lhs, rhs, prefixes=[80, 106, 107], cuts=[[90], [53, 99]],
+            fringe_size=None,
+        )
+        assert len(cells[106]) == 1 and not cells[107]
+
+    def test_extra_partner_latches_inside_a_certified_run(self):
+        """K = 2: the scan at support 31 certifies confidence up to 62, but
+        the third distinct partner at row 42 is a multiplicity violation
+        and must set the cell at once, not when the certificate expires."""
+        lhs = [7] * 70
+        rhs = [1] * 40 + [2, 3] + [1] * 28
+        cells = self.check(
+            ImplicationConditions(
+                max_multiplicity=2, min_support=1, top_c=1,
+                min_top_confidence=0.5,
+            ),
+            lhs, rhs, prefixes=[41, 42], cuts=[[35], [20, 38]],
+            fringe_size=None,
+        )
+        assert len(cells[41]) == 1 and not cells[42]
+
 
 @needs_compiled
 class TestPolynomialKernel:
